@@ -904,23 +904,26 @@ def _rule_skeleton_builder(rule: Rule):
     return tuple(locals_), tuple(guards), tuple(positional)
 
 
+def _memoized(ctx, key_obj, builder):
+    """``builder(key_obj)`` through the state's identity-pinned skeleton
+    memo (a context without one just builds)."""
+    state = getattr(ctx, "state", None)
+    if state is None or not hasattr(state, "skeleton"):
+        return builder(key_obj)
+    return state.skeleton(key_obj, builder)
+
+
 def _cached_binding_guards(bindings, ctx):
     """Memoized :func:`_binding_guards` for a stable AST bindings tuple
     (quantifiers/abstractions re-split their binders on every expansion
     otherwise). The generated guard nodes are identity-stable, which also
     keeps plan anchors and orderability caches warm."""
-    state = getattr(ctx, "state", None)
-    if state is None or not hasattr(state, "skeleton"):
-        return _binding_guards(bindings)
-    return state.skeleton(bindings, _skeleton_builder)
+    return _memoized(ctx, bindings, _skeleton_builder)
 
 
 def _rule_skeleton(rule: Rule, ctx):
     """Memoized head split (locals, guards, positional) of one rule."""
-    state = getattr(ctx, "state", None)
-    if state is None or not hasattr(state, "skeleton"):
-        return _binding_guards(rule.value_head)
-    return state.skeleton(rule, _rule_skeleton_builder)
+    return _memoized(ctx, rule, _rule_skeleton_builder)
 
 
 def _expand_exists(node: ast.Exists, table: Table, frame: Frame, ctx) -> Table:
@@ -1861,7 +1864,7 @@ def _apply_reduce(args, partial: bool, table: Table, frame: Frame, ctx) -> Table
         rel = rel_fn(row)
         if not rel:
             continue  # reduce of the empty relation is empty (Section 5.2)
-        folded = _fold(op_value, rel, frame, ctx)
+        folded = _fold(op_value, rel.last_column_values(), frame, ctx)
         if folded is None:
             continue
         rows.append(row[:-1] + (row[-1] + (folded,),))
@@ -1901,8 +1904,13 @@ def _second_order_value(node: ast.Node, table: Table, frame: Frame, ctx):
     raise EvaluationError("unsupported reduce operator expression")
 
 
-def _fold(op, rel: Relation, frame: Frame, ctx) -> Optional[Any]:
-    values = sorted(rel.last_column_values(),
+def _fold(op, values: List[Any], frame: Frame, ctx) -> Optional[Any]:
+    """Left-to-right fold of ``values`` in the canonical order (numbers
+    ascending, then everything else by its text); ``None`` when there is
+    nothing to fold or some step of the operator has no result."""
+    if not values:
+        return None  # only empty tuples: no last column to fold
+    values = sorted(values,
                     key=lambda v: (0, v) if isinstance(v, (int, float))
                     and not isinstance(v, bool) else (1, str(v)))
     if isinstance(op, Builtin) \
@@ -1943,6 +1951,124 @@ def _apply_binary(op, a: Any, b: Any, frame: Frame, ctx) -> Optional[Any]:
                 return row[-1][0]
         return None
     raise EvaluationError("unsupported reduce operator value")
+
+
+# -- grouped folds -------------------------------------------------------------
+#
+# An aggregate is a closure whose one-parameter rule is ``reduce[op, A]``
+# (Section 5.2). Applied to many groups at once — ``m = sum[{(v) : R(k, v)}]``
+# — such a closure never needs instantiating: every group's value is the
+# fold of its own tuples, so the groups are folded side by side and the
+# application emits one table. Closures of any other shape keep the
+# per-group path in :func:`_apply_group_constant`.
+
+
+def _reduce_shape(body: ast.Node):
+    """``(operator node, relation name, trailing constants)`` when ``body``
+    is ``reduce[op, A]`` or ``reduce[op, (A, c…)]`` over plain names, else
+    ``None``."""
+    if not (isinstance(body, ast.Application)
+            and isinstance(body.target, ast.Ref)
+            and body.target.name == "reduce" and len(body.args) == 2):
+        return None
+    op, rel = body.args
+    consts: Tuple[Any, ...] = ()
+    if isinstance(rel, ast.ProductExpr) and len(rel.items) > 1:
+        rel, *rest = rel.items
+        if not all(isinstance(c, ast.Const) and not isinstance(c.value, bool)
+                   for c in rest):
+            return None  # true/false are the relations {()} / {}, not values
+        consts = tuple(c.value for c in rest)
+    if not (isinstance(op, ast.Ref) and isinstance(rel, ast.Ref)) \
+            or op.name == rel.name:
+        return None
+    return op, rel.name, consts
+
+
+def _fold_shape(closure: Closure, k: int, ctx):
+    """The :func:`_reduce_shape` of ``closure``'s ``k``-parameter rule group
+    when that group is *fold-shaped*: one bracket-headed rule whose only
+    head binding is the relation the body reduces. Judged from the rule
+    ASTs alone (a user's ``def total[{A}] : reduce[add, A]`` qualifies like
+    ``sum``); the body's verdict is memoized on the rule's body node."""
+    if k != 1:
+        return None
+    rules = [r for r in closure.rules if len(r.rel_positions) == 1]
+    if len(rules) != 1:
+        return None
+    rule = rules[0]
+    if rule.formula_head or len(rule.head) != 1:
+        return None
+    shape = _memoized(ctx, rule.body, _reduce_shape)
+    if shape is None or shape[1] != rule.head[0].name:
+        return None
+    return shape
+
+
+def _fold_grouped(shape, closure: Closure,
+                  groups: Sequence[Collection[Tuple[Any, ...]]],
+                  ctx) -> List[Optional[Any]]:
+    """Fold every group of a fold-shaped application in one pass.
+
+    ``groups[g]`` holds the distinct tuples of group ``g``; entry ``g`` of
+    the result is the value ``closure`` has on that relation, ``None``
+    where it has none. One :func:`~repro.model.columns.fold_groups` call
+    folds all groups; where it declines, each group is folded by
+    :func:`_fold` — the same values in the same order as
+    instantiating the closure, without instantiating it."""
+    _budget_checkpoint()
+    op_node, _, consts = shape
+    if consts:
+        per_group = [[consts[-1]] * len(tuples) for tuples in groups]
+    else:
+        per_group = [[t[-1] for t in tuples if t] for tuples in groups]
+    folded: List[Optional[Any]] = [None] * len(groups)
+    total = sum(map(len, per_group))
+    if not total:
+        return folded
+    frame = Frame(closure.env, frozenset())
+    op = _second_order_value(op_node, Table.unit(), frame, ctx)
+    if isinstance(op, Builtin) \
+            and _kernel_wanted(_columnar_mode(ctx), total, ctx):
+        fast = _columns.fold_groups(
+            op.name,
+            [g for g, values in enumerate(per_group) for _ in values],
+            [v for values in per_group for v in values])
+        if fast is not None:
+            _count_columnar(ctx, "fold_grouped")
+            for g, value in zip(*fast):
+                folded[g] = value
+            return folded
+        _count_columnar(ctx, "fold_grouped_fallback")
+    for g, values in enumerate(per_group):
+        folded[g] = _fold(op, values, frame, ctx)
+    return folded
+
+
+def _attach_folded(sub: Table, folded: Sequence[Optional[Any]], value_args,
+                   partial: bool, frame: Frame, ctx) -> Table:
+    """The table a fold-shaped application yields over ``sub``: row ``i``
+    matched against the one-tuple extent ``{(folded[i],)}`` (no extent,
+    hence no output row, where ``folded[i]`` is ``None``)."""
+    if partial and not value_args:
+        rows = [row[:-1] + (row[-1] + (value,),)
+                for row, value in zip(sub.rows, folded) if value is not None]
+        return _dedupe(Table(sub.cols, rows, distinct=sub.distinct), ctx)
+    # Value arguments (``min[R](m)``, ``min[…] = 5``): the existing
+    # matcher, once, over all extents keyed by their row's position.
+    pos_col = _fresh("foldrow")
+    keyed_sub = Table(sub.cols + (pos_col,),
+                      [row[:-1] + (i, row[-1])
+                       for i, row in enumerate(sub.rows)], distinct=True)
+    extents = Relation._from_rows(
+        (i, value) for i, value in enumerate(folded) if value is not None)
+    items = [(_Matcher.VAL, _col_fn(keyed_sub, pos_col))]
+    items += _compile_arg_items(value_args, keyed_sub, frame, ctx)
+    matched = _match_with_items(extents, items, partial, keyed_sub, ctx)
+    at = matched.col_index(pos_col)
+    rows = [row[:at] + row[at + 1:] for row in matched.rows]
+    return _dedupe(Table(matched.cols[:at] + matched.cols[at + 1:], rows,
+                         distinct=sub.distinct and matched.distinct), ctx)
 
 
 # -- closures ------------------------------------------------------------------
@@ -2057,24 +2183,46 @@ def _apply_group(closure: Closure, k: int, rel_args, value_args, partial: bool,
         key = tuple(ctx.cache_key(v) for v in values)
         row_groups.setdefault(key, []).append(row)
         keyvals[key] = values
-    out_tables: List[Table] = []
-    for key, rows in row_groups.items():
-        sub = Table(table.cols, rows)
-        out_tables.append(
-            _apply_group_constant(closure, k, keyvals[key], value_args, partial,
-                                  sub, frame, ctx)
-        )
-    if not out_tables:
+    if not row_groups:
         return _strip_hidden(table.clone_cols())
+    shape = _fold_shape(closure, k, ctx)
+    if shape is not None and not any(isinstance(v, Builtin)
+                                     for v, in keyvals.values()):
+        # Fold each distinct relation once. A closure-valued argument (an
+        # abstraction over bound variables) stands for its extent, as it
+        # does to ``reduce`` inside the aggregate's rule.
+        folded = _fold_grouped(shape, closure, [
+            (v if isinstance(v, Relation)
+             else ctx.closure_extent(v, (), (), full_arity=None)).rows()
+            for v, in keyvals.values()], ctx)
+        sub = Table(table.cols,
+                    [row for rows in row_groups.values() for row in rows],
+                    distinct=table.distinct)
+        per_row = [value for value, rows in zip(folded, row_groups.values())
+                   for _ in rows]
+        return _strip_hidden(_attach_folded(sub, per_row, value_args, partial,
+                                            frame, ctx))
+    full_orderable = ctx.group_full_orderable(closure, k)
+    out_tables = [
+        _apply_group_constant(closure, keyvals[key], value_args, partial,
+                              Table(table.cols, rows), frame, ctx,
+                              full_orderable)
+        for key, rows in row_groups.items()
+    ]
     return _strip_hidden(_merge_branch_tables(out_tables, table, ctx))
 
 
-def _apply_group_constant(closure: Closure, k: int, rel_values, value_args,
-                          partial: bool, table: Table, frame: Frame, ctx) -> Table:
-    """Apply a rule group whose relation parameters are fixed values."""
+def _apply_group_constant(closure: Closure, rel_values, value_args,
+                          partial: bool, table: Table, frame: Frame, ctx,
+                          full_orderable: bool) -> Table:
+    """Apply a rule group whose relation parameters are fixed values.
+
+    ``full_orderable`` is ``ctx.group_full_orderable`` for the group — it
+    does not depend on the values, so callers ask once per application."""
     items = _compile_arg_items(value_args, table, frame, ctx)
-    if ctx.group_full_orderable(closure, k, rel_values):
-        extent = ctx.closure_extent(closure, rel_values, (), full_arity=None)
+    if full_orderable:
+        extent = ctx.closure_extent(closure, rel_values, (), full_arity=None,
+                                    full_orderable=True)
         return _match_with_items(extent, items, partial, table, ctx)
     # Demand-driven: per distinct bound-argument values, evaluate the
     # instance with those head positions pre-bound. Value-set arguments
@@ -2098,7 +2246,8 @@ def _apply_group_constant(closure: Closure, k: int, rel_values, value_args,
             demand = _demand_from_items(concrete)
             full_arity = None if partial else _realized_arity(concrete)
             extent = ctx.closure_extent(closure, rel_values, demand,
-                                        full_arity=full_arity)
+                                        full_arity=full_arity,
+                                        full_orderable=False)
             out_rows.extend(
                 _match_realized_rows(extent, concrete, partial, row[:-1],
                                      row[-1], new_vars, ctx)
@@ -2191,44 +2340,59 @@ def _apply_group_correlated(closure: Closure, k: int, rel_args, value_args,
 
     fi = [expanded.col_index(f) for f in frees]
     ri = expanded.col_index(rowid_col)
-    group_tuples: Dict[Tuple[Any, ...], Set[Tuple[Any, ...]]] = {}
-    reps: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+    # One pass cuts the expansion into its (originating row, free variables)
+    # groups and dedupes each group's tuples, both under the engine's value
+    # identity: True and 1 are different keys and different tuples.
+    group_of: Dict[Tuple[Any, ...], int] = {}
+    reps: List[Tuple[Any, ...]] = []
+    members: List[Dict[Tuple[Any, ...], Tuple[Any, ...]]] = []
     for row in expanded.rows:
-        key = (row[ri],) + tuple(row[i] for i in fi)
-        group_tuples.setdefault(key, set()).add(row[-1])
-        reps.setdefault(key, row)
+        key = row_ident((row[ri],) + tuple(row[i] for i in fi))
+        g = group_of.get(key)
+        if g is None:
+            g = group_of[key] = len(reps)
+            reps.append(row)
+            members.append({})
+        members[g].setdefault(model_row_key(row[-1]), row[-1])
 
     base_cols = table.cols
-    base_idx = [expanded.col_index(c) for c in base_cols]
+    sub_cols = base_cols + tuple(frees)
+    if not reps:
+        return Table(sub_cols, [])
+    # One row per group: its originating row's columns and payload, plus
+    # the free variables as the group's first expanded row binds them.
+    keep = [expanded.col_index(c) for c in base_cols] + fi
+    sub_rows = [tuple(rep[i] for i in keep) + (table.rows[rep[ri]][-1],)
+                for rep in reps]
     inner_frame = frame.with_scope(frees)
+    shape = _fold_shape(closure, k, ctx)
+    if shape is not None:
+        folded = _fold_grouped(shape, closure,
+                               [tuples.values() for tuples in members], ctx)
+        # Groups of one originating row differ in their free variables.
+        sub = Table(sub_cols, sub_rows,
+                    distinct=table.distinct or len(table) == 1)
+        return _attach_folded(sub, folded, value_args, partial, inner_frame,
+                              ctx)
+
+    full_orderable = ctx.group_full_orderable(closure, k)
     out_tables: List[Table] = []
-    for key, tuples in group_tuples.items():
-        group_rel = Relation._from_rows(tuples)
-        rep = reps[key]
+    for rep, tuples, sub_row in zip(reps, members, sub_rows):
         rel_values = []
         for i, arg in enumerate(rel_args):
             if i == corr_idx:
-                rel_values.append(group_rel)
+                rel_values.append(Relation._from_keyed(tuples))
             else:
                 inner = arg.expr if isinstance(arg, ast.Annotated) else arg
                 # Positions resolve against the *expanded* table: the
                 # representative row carries its columns.
                 rel_values.append(_rel_arg_fn(inner, expanded, frame, ctx)(rep))
-        sub_cols = base_cols + tuple(frees)
-        # key[0] is the originating row id; recover that row's payload.
-        sub_row = tuple(rep[i] for i in base_idx) + key[1:] + \
-            (table.rows[key[0]][-1],)
-        sub = Table(sub_cols, [sub_row])
         out_tables.append(
-            _apply_group_constant(closure, k, tuple(rel_values), value_args,
-                                  partial, sub, inner_frame, ctx)
+            _apply_group_constant(closure, tuple(rel_values), value_args,
+                                  partial, Table(sub_cols, [sub_row]),
+                                  inner_frame, ctx, full_orderable)
         )
-    if not out_tables:
-        return Table(base_cols + tuple(frees), [])
-    merged = _merge_branch_tables(
-        out_tables, Table(base_cols + tuple(frees), []), ctx
-    )
-    return merged
+    return _merge_branch_tables(out_tables, Table(sub_cols, []), ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from repro.lang import ast, parse_expression, parse_program
 from repro.model import columns as _columns
 from repro.model.relation import EMPTY, Relation
 from repro.model.relation import row_key as model_row_key
+from repro.model.values import value_key
 
 # Deep demand-driven recursion (e.g. digit sums, BOM explosions) uses many
 # Python frames per Rel-level call; raise the interpreter limit once.
@@ -562,6 +563,9 @@ class EvalContext:
     # -- instance extents -----------------------------------------------------
 
     def cache_key(self, value: Any) -> Any:
+        """Hashable identity of a runtime value under the engine's value
+        identity: closures capturing ``True`` and ``1`` are different
+        instances (and different groups of a per-row application)."""
         if isinstance(value, Relation):
             return value
         if isinstance(value, Builtin):
@@ -575,24 +579,33 @@ class EvalContext:
             )
             return ("closure", value.name, tuple(id(r) for r in value.rules),
                     env_items)
-        return value
+        if type(value) is tuple:  # a captured tuple variable
+            return model_row_key(value)
+        return value_key(value)
 
     def closure_extent(self, closure: Closure, rel_values: Tuple[Any, ...],
                        demand: Tuple[Tuple[int, Any], ...],
-                       full_arity: Optional[int] = None) -> Relation:
+                       full_arity: Optional[int] = None,
+                       full_orderable: Optional[bool] = None) -> Relation:
         """Extent of a closure instance (rules with matching parameter count),
-        optionally restricted to demanded head-position bindings."""
+        optionally restricted to demanded head-position bindings.
+
+        ``full_orderable`` passes on the caller's own answer to
+        :meth:`group_full_orderable` for this instance, if it has one."""
         rules = tuple(
             r for r in closure.rules if len(r.rel_positions) == len(rel_values)
         )
         if not rules:
             return EMPTY
-        if self.group_full_orderable(closure, len(rel_values), rel_values):
+        if full_orderable is None:
+            full_orderable = self.group_full_orderable(closure,
+                                                       len(rel_values))
+        if full_orderable:
             demand = ()
             full_arity = None
         state = self.state
         key = (
-            self._refs_signature(rules, closure, rel_values),
+            self._refs_signature(closure, rel_values),
             tuple(id(r) for r in rules),
             self.cache_key(closure),
             tuple(self.cache_key(v) for v in rel_values),
@@ -650,39 +663,41 @@ class EvalContext:
 
     # -- generation-tagged memo signatures ---------------------------------------
 
-    def _refs_signature(self, rules: Sequence[Rule], closure: Closure,
+    def _refs_signature(self, closure: Closure,
                         rel_values: Tuple[Any, ...]) -> Tuple[Tuple[str, int], ...]:
         """The (name, generation) pairs of every program name the instance
-        can observe: the transitive references of its own rules, of any
-        closure passed as a relation parameter, and of closures captured in
-        environments. A memo entry is reusable exactly when this signature
-        is unchanged — stratum-level instead of global invalidation."""
-        refs: Set[str] = set()
-        program = self.program
-        for rule in rules:
-            for n in rule.free:
-                refs |= program._refs_of(n)
-        self._collect_value_refs(closure, refs)
+        can observe: the transitive references of the closure's rules, of
+        any closure passed as a relation parameter, and of closures
+        captured in environments. A memo entry is reusable exactly when
+        this signature is unchanged — stratum-level instead of global
+        invalidation. Only the generations are read per call: the names a
+        rule tuple references are cached on the program."""
+        names: Sequence[str] = self.program.rule_ref_names(closure.rules)
+        extra: Set[str] = set()
+        self._collect_env_refs(closure.env, extra)
         for value in rel_values:
-            self._collect_value_refs(value, refs)
+            self._collect_value_refs(value, extra)
+        if extra:
+            names = sorted(extra.union(names))
         gens = self.state.name_gen
-        return tuple(sorted((n, gens[n]) for n in refs if n in gens))
+        return tuple((n, gens[n]) for n in names if n in gens)
 
     def _collect_value_refs(self, value: Any, refs: Set[str]) -> None:
         if isinstance(value, Closure):
-            program = self.program
-            for rule in value.rules:
-                for n in rule.free:
-                    refs |= program._refs_of(n)
-            for captured in value.env.flatten().values():
-                if isinstance(captured, Closure):
-                    self._collect_value_refs(captured, refs)
+            refs.update(self.program.rule_ref_names(value.rules))
+            self._collect_env_refs(value.env, refs)
+
+    def _collect_env_refs(self, env: Env, refs: Set[str]) -> None:
+        if env is not Env.EMPTY:
+            for captured in env.flatten().values():
+                self._collect_value_refs(captured, refs)
 
     # -- static orderability ----------------------------------------------------
 
-    def group_full_orderable(self, closure: Closure, k: int,
-                             rel_values: Tuple[Any, ...]) -> bool:
-        """Can the instance be fully materialized (no demanded bindings)?"""
+    def group_full_orderable(self, closure: Closure, k: int) -> bool:
+        """Can an instance of the ``k``-parameter rule group be fully
+        materialized (no demanded bindings)? The same for every instance:
+        relation parameters are stand-in extents to the simulation."""
         return self.group_orderable_sim(closure, k, frozenset(), None)
 
     def group_orderable_sim(self, closure: Closure, k: int,
@@ -897,8 +912,9 @@ class RelProgram:
     """
 
     #: Cap for the identity-pinned delta-variant cache (entries evict
-    #: oldest-half on overflow, like the EvalState caches): replaced rules
-    #: must not stay pinned forever in long-lived sessions.
+    #: oldest-half on overflow, like the EvalState caches) and for the
+    #: rule-reference cache (dropped whole): replaced rules must not stay
+    #: pinned forever in long-lived sessions.
     VARIANT_LIMIT = 2048
 
     def __init__(self, source: str = "",
@@ -916,6 +932,8 @@ class RelProgram:
         self._ctx: Optional[EvalContext] = None
         self._strata: Optional[List[List[str]]] = None
         self._refs_cache: Dict[str, FrozenSet[str]] = {}
+        self._rule_refs: Dict[Tuple[int, ...],
+                              Tuple[Tuple[Rule, ...], Tuple[str, ...]]] = {}
         self._all_refs: Optional[FrozenSet[str]] = None
         # (id(rule), watch set) -> (pinned rule, [(target, variant rule)]):
         # delta rewrites are pure functions of the rule body, so the
@@ -1062,6 +1080,7 @@ class RelProgram:
         self._ctx = None
         self._strata = None
         self._refs_cache = {}
+        self._rule_refs = {}
         self._all_refs = None
         self._variant_cache = {}
 
@@ -1077,6 +1096,7 @@ class RelProgram:
         self._materialized = None
         self._strata = None
         self._refs_cache = {}
+        self._rule_refs = {}
         self._all_refs = None
         # Rebind to a *copy* (never mutate in place): published snapshots
         # share the old dict and must stop observing our writes, while the
@@ -1181,6 +1201,23 @@ class RelProgram:
         refs = frozenset(seen)
         self._refs_cache[name] = refs
         return refs
+
+    def rule_ref_names(self, rules: Tuple[Rule, ...]) -> Tuple[str, ...]:
+        """The sorted names reachable from the rules' bodies — what
+        :meth:`_refs_of` gives for each of their free names — cached per
+        rule tuple. An entry pins its rules, so their ids stay theirs; the
+        cache is dropped with ``_refs_cache`` whenever rules change."""
+        key = tuple(map(id, rules))
+        entry = self._rule_refs.get(key)
+        if entry is None:
+            refs: Set[str] = set()
+            for rule in rules:
+                for name in rule.free:
+                    refs |= self._refs_of(name)
+            if len(self._rule_refs) >= self.VARIANT_LIMIT:
+                self._rule_refs = {}
+            self._rule_refs[key] = entry = (rules, tuple(sorted(refs)))
+        return entry[1]
 
     # -- analysis ---------------------------------------------------------------
 

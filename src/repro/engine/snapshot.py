@@ -210,6 +210,7 @@ class ProgramSnapshot(RelProgram):
         # the-parent contract the cache sharing above depends on. Entries
         # themselves are pure functions of the captured rule catalog.
         self._refs_cache = dict(parent._refs_cache)
+        self._rule_refs = dict(parent._rule_refs)
         self._all_refs = parent._all_refs
         self._variant_cache = dict(parent._variant_cache)
         self._state = SnapshotState(parent._state)
