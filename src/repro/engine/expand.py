@@ -1985,12 +1985,12 @@ def _reduce_shape(body: ast.Node):
     return op, rel.name, consts
 
 
-def _fold_shape(closure: Closure, k: int, ctx):
+def _fold_shape(closure: Closure, k: int):
     """The :func:`_reduce_shape` of ``closure``'s ``k``-parameter rule group
     when that group is *fold-shaped*: one bracket-headed rule whose only
     head binding is the relation the body reduces. Judged from the rule
-    ASTs alone (a user's ``def total[{A}] : reduce[add, A]`` qualifies like
-    ``sum``); the body's verdict is memoized on the rule's body node."""
+    ASTs alone, so a user's ``def total[{A}] : reduce[add, A]`` qualifies
+    like ``sum``."""
     if k != 1:
         return None
     rules = [r for r in closure.rules if len(r.rel_positions) == 1]
@@ -1999,7 +1999,7 @@ def _fold_shape(closure: Closure, k: int, ctx):
     rule = rules[0]
     if rule.formula_head or len(rule.head) != 1:
         return None
-    shape = _memoized(ctx, rule.body, _reduce_shape)
+    shape = _reduce_shape(rule.body)
     if shape is None or shape[1] != rule.head[0].name:
         return None
     return shape
@@ -2012,37 +2012,20 @@ def _fold_grouped(shape, closure: Closure,
 
     ``groups[g]`` holds the distinct tuples of group ``g``; entry ``g`` of
     the result is the value ``closure`` has on that relation, ``None``
-    where it has none. One :func:`~repro.model.columns.fold_groups` call
-    folds all groups; where it declines, each group is folded by
-    :func:`_fold` — the same values in the same order as
-    instantiating the closure, without instantiating it."""
+    where it has none. Each group is folded by :func:`_fold` — the same
+    values in the same order as instantiating the closure, without
+    instantiating it."""
     _budget_checkpoint()
     op_node, _, consts = shape
     if consts:
         per_group = [[consts[-1]] * len(tuples) for tuples in groups]
     else:
         per_group = [[t[-1] for t in tuples if t] for tuples in groups]
-    folded: List[Optional[Any]] = [None] * len(groups)
-    total = sum(map(len, per_group))
-    if not total:
-        return folded
+    if not any(per_group):
+        return [None] * len(groups)
     frame = Frame(closure.env, frozenset())
     op = _second_order_value(op_node, Table.unit(), frame, ctx)
-    if isinstance(op, Builtin) \
-            and _kernel_wanted(_columnar_mode(ctx), total, ctx):
-        fast = _columns.fold_groups(
-            op.name,
-            [g for g, values in enumerate(per_group) for _ in values],
-            [v for values in per_group for v in values])
-        if fast is not None:
-            _count_columnar(ctx, "fold_grouped")
-            for g, value in zip(*fast):
-                folded[g] = value
-            return folded
-        _count_columnar(ctx, "fold_grouped_fallback")
-    for g, values in enumerate(per_group):
-        folded[g] = _fold(op, values, frame, ctx)
-    return folded
+    return [_fold(op, values, frame, ctx) for values in per_group]
 
 
 def _attach_folded(sub: Table, folded: Sequence[Optional[Any]], value_args,
@@ -2185,7 +2168,7 @@ def _apply_group(closure: Closure, k: int, rel_args, value_args, partial: bool,
         keyvals[key] = values
     if not row_groups:
         return _strip_hidden(table.clone_cols())
-    shape = _fold_shape(closure, k, ctx)
+    shape = _fold_shape(closure, k)
     if shape is not None and not any(isinstance(v, Builtin)
                                      for v, in keyvals.values()):
         # Fold each distinct relation once. A closure-valued argument (an
@@ -2221,8 +2204,7 @@ def _apply_group_constant(closure: Closure, rel_values, value_args,
     does not depend on the values, so callers ask once per application."""
     items = _compile_arg_items(value_args, table, frame, ctx)
     if full_orderable:
-        extent = ctx.closure_extent(closure, rel_values, (), full_arity=None,
-                                    full_orderable=True)
+        extent = ctx.closure_extent(closure, rel_values, (), full_arity=None)
         return _match_with_items(extent, items, partial, table, ctx)
     # Demand-driven: per distinct bound-argument values, evaluate the
     # instance with those head positions pre-bound. Value-set arguments
@@ -2246,8 +2228,7 @@ def _apply_group_constant(closure: Closure, rel_values, value_args,
             demand = _demand_from_items(concrete)
             full_arity = None if partial else _realized_arity(concrete)
             extent = ctx.closure_extent(closure, rel_values, demand,
-                                        full_arity=full_arity,
-                                        full_orderable=False)
+                                        full_arity=full_arity)
             out_rows.extend(
                 _match_realized_rows(extent, concrete, partial, row[:-1],
                                      row[-1], new_vars, ctx)
@@ -2365,7 +2346,7 @@ def _apply_group_correlated(closure: Closure, k: int, rel_args, value_args,
     sub_rows = [tuple(rep[i] for i in keep) + (table.rows[rep[ri]][-1],)
                 for rep in reps]
     inner_frame = frame.with_scope(frees)
-    shape = _fold_shape(closure, k, ctx)
+    shape = _fold_shape(closure, k)
     if shape is not None:
         folded = _fold_grouped(shape, closure,
                                [tuples.values() for tuples in members], ctx)

@@ -585,22 +585,15 @@ class EvalContext:
 
     def closure_extent(self, closure: Closure, rel_values: Tuple[Any, ...],
                        demand: Tuple[Tuple[int, Any], ...],
-                       full_arity: Optional[int] = None,
-                       full_orderable: Optional[bool] = None) -> Relation:
+                       full_arity: Optional[int] = None) -> Relation:
         """Extent of a closure instance (rules with matching parameter count),
-        optionally restricted to demanded head-position bindings.
-
-        ``full_orderable`` passes on the caller's own answer to
-        :meth:`group_full_orderable` for this instance, if it has one."""
+        optionally restricted to demanded head-position bindings."""
         rules = tuple(
             r for r in closure.rules if len(r.rel_positions) == len(rel_values)
         )
         if not rules:
             return EMPTY
-        if full_orderable is None:
-            full_orderable = self.group_full_orderable(closure,
-                                                       len(rel_values))
-        if full_orderable:
+        if self.group_full_orderable(closure, len(rel_values)):
             demand = ()
             full_arity = None
         state = self.state

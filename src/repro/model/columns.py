@@ -554,56 +554,6 @@ def fold_values(op_name: str, values: List[Any]) -> Optional[Any]:
     return fn(values)
 
 
-#: Builtins (also under their ``rel_primitive_*`` aliases) whose fold over
-#: one homogeneous numeric vector is exactly ``numpy.<name>.reduceat``.
-_GROUP_FOLDS = ("add", "minimum", "maximum")
-
-
-def fold_groups(op_name: str, group_ids: Sequence[int],
-                values: Sequence[Any]
-                ) -> Optional[Tuple[List[int], List[Any]]]:
-    """Fold ``values`` group by group in one pass (``group_ids[i]`` names
-    the group of ``values[i]``): returns the distinct group ids, ascending,
-    and the fold of each one's values.
-
-    ``None`` declines wherever the vectorized answer could differ from
-    :func:`fold_values` applied to each group: an operator without a
-    ufunc, anything but all-int or all-float values (a mixed group's
-    result keeps the type of whichever operand wins), float sums (the
-    interpreted fold adds left-to-right over the sorted values), NaN or a
-    negative zero (min/max would have to pick the same representative),
-    ints beyond int64, and an int sum that could overflow int64.
-    """
-    ufunc_name = op_name.removeprefix("rel_primitive_")
-    if not KERNELS_AVAILABLE or ufunc_name not in _GROUP_FOLDS or not values:
-        return None
-    n = len(values)
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        try:
-            vals = _np.fromiter(values, dtype=_np.int64, count=n)
-        except OverflowError:
-            return None
-    elif kinds == {float} and ufunc_name != "add":
-        vals = _np.fromiter(values, dtype=_np.float64, count=n)
-        if _np.isnan(vals).any() or _np.signbit(vals[vals == 0]).any():
-            return None
-    else:
-        return None
-    ids = _np.fromiter(group_ids, dtype=_np.int64, count=n)
-    order = _np.argsort(ids, kind="stable")
-    ids = ids[order]
-    vals = vals[order]
-    starts = _np.flatnonzero(_np.concatenate(([True], ids[1:] != ids[:-1])))
-    if ufunc_name == "add":
-        largest_group = int(_np.diff(starts, append=n).max())
-        magnitude = max(abs(int(vals.min())), abs(int(vals.max())))
-        if largest_group * magnitude >= 2 ** 63:
-            return None
-    folded = getattr(_np, ufunc_name).reduceat(vals, starts)
-    return ids[starts].tolist(), folded.tolist()
-
-
 # ---------------------------------------------------------------------------
 # Set algebra over whole ColumnSets (the Relation fast path)
 # ---------------------------------------------------------------------------

@@ -22,12 +22,7 @@ from repro.engine import expand
 from repro.engine.program import EvalContext
 from repro.engine.reference import ReferenceEvaluator
 from repro.lang import parse_expression
-from repro.model import columns
 from repro.model.values import row_key
-
-kernels = pytest.mark.skipif(
-    not columns.KERNELS_AVAILABLE,
-    reason="columnar kernels unavailable (no numpy or REPRO_COLUMNAR=off)")
 
 MODES = ("on", "auto", "off")
 
@@ -115,7 +110,7 @@ def session_for(env, mode, rules=RULES):
 
 def decline(monkeypatch):
     """Force the per-group path: the recogniser finds nothing fold-shaped."""
-    monkeypatch.setattr(expand, "_fold_shape", lambda closure, k, ctx: None)
+    monkeypatch.setattr(expand, "_fold_shape", lambda closure, k: None)
 
 
 def both_paths(monkeypatch, env, queries, mode, rules=RULES):
@@ -470,8 +465,7 @@ def test_deadline_abort_inside_the_operator_then_requery_is_exact(monkeypatch):
 
 
 def shape_of(session, name, k=1):
-    program = session.program
-    return expand._fold_shape(program.closures[name], k, program._context())
+    return expand._fold_shape(session.program.closures[name], k)
 
 
 def test_recogniser_reads_the_rule_not_the_name():
@@ -519,52 +513,3 @@ def test_a_redefined_closure_is_judged_again(monkeypatch):
     monkeypatch.setattr(expand, "_fold_grouped", None)  # must not be reached
     assert session.execute(query) == \
         Relation([(1, 10), (1, 6), (2, 5)])
-
-
-# -- the kernel and its counters ----------------------------------------------
-
-
-@kernels
-class TestFoldGroupsKernel:
-    def test_folds_each_group(self):
-        ids = [0, 2, 0, 1, 2, 2]
-        values = [5, 1, 3, 7, 9, 4]
-        assert columns.fold_groups("add", ids, values) == \
-            ([0, 1, 2], [8, 7, 14])
-        assert columns.fold_groups("minimum", ids, values) == \
-            ([0, 1, 2], [3, 7, 1])
-        assert columns.fold_groups("rel_primitive_maximum", ids, values) == \
-            ([0, 1, 2], [5, 7, 9])
-        assert columns.fold_groups("minimum", [0, 0, 3], [2.5, -1.0, 0.0]) \
-            == ([0, 3], [-1.0, 0.0])
-
-    @pytest.mark.parametrize("op, ids, values", [
-        ("add", [0, 0], [0.1, 0.2]),             # float sums: fold order
-        ("multiply", [0, 0], [2, 3]),            # no ufunc asked for
-        ("minimum", [0, 0], [1, 2.0]),           # result type = the winner's
-        ("add", [0, 0], [1, True]),              # bools are not numbers
-        ("minimum", [0, 0], ["a", "b"]),
-        ("minimum", [0, 0], [0.0, -0.0]),        # which zero is the minimum
-        ("maximum", [0, 0], [1.0, float("nan")]),
-        ("add", [0, 0], [2 ** 64, 1]),           # beyond int64
-        ("add", [0, 0, 1], [2 ** 62, 2 ** 62, 1]),  # the sum would wrap
-        ("add", [], []),
-    ])
-    def test_declines_where_the_answer_could_differ(self, op, ids, values):
-        assert columns.fold_groups(op, ids, values) is None
-
-    def test_statistics_name_the_path_taken(self):
-        session = connect(columnar="on")
-        session.define("R", [(1, 10), (1, 20), (2, 5)])
-        session.define("F", [(1, 0.1), (1, 0.2), (2, 0.5)])
-        session.execute("(k, m) : m = sum[{(v) : R(k, v)}]")
-        stats = session.columnar_statistics()
-        assert stats["fold_grouped"] == 1
-        assert "fold_grouped_fallback" not in stats
-        assert session.execute("(k, m) : m = sum[{(v) : F(k, v)}]") == \
-            Relation([(1, 0.1 + 0.2), (2, 0.5)])
-        assert session.columnar_statistics()["fold_grouped_fallback"] == 1
-        quiet = connect(columnar="off")
-        quiet.define("R", [(1, 10), (1, 20), (2, 5)])
-        quiet.execute("(k, m) : m = sum[{(v) : R(k, v)}]")
-        assert "fold_grouped" not in quiet.columnar_statistics()
