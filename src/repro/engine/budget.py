@@ -20,8 +20,8 @@ Amortization is wrong at *vectorized* boundaries: one columnar kernel
 call can stand in for millions of row-level operations, so counting it
 as a single tick lets a deadline overshoot by whole kernel invocations
 (observed as multiples of a 0.1s deadline at 10x scale). Boundaries
-that amortize work — a kernel dispatch, a scheduled conjunct, a
-parallel exchange barrier — must use :func:`checkpoint`, which consults
+that amortize work — a kernel dispatch, a scheduled conjunct — must
+use :func:`checkpoint`, which consults
 the clock unconditionally; its cost is one clock read against a kernel
 call that dwarfs it.
 
@@ -242,7 +242,7 @@ def checkpoint() -> None:
     """Unamortized check against the active budget, if any.
 
     For boundaries where one call amortizes arbitrary work — vectorized
-    kernel dispatches, scheduled conjuncts, worker exchange barriers —
+    vectorized kernel dispatches, scheduled conjuncts —
     so the abort latency is bounded by a single kernel call rather than
     ``check_interval`` of them.
     """

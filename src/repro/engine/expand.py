@@ -96,12 +96,6 @@ def _fresh(prefix: str) -> str:
 #: (env override ``REPRO_COLUMNAR_MIN_ROWS``); sessions read the option.
 _COLUMNAR_MIN_ROWS = 64
 
-#: Bench/ablation switch: when False, rule evaluation decodes columnar
-#: results into keyed dicts exactly as PR 7 did (the pre-fixpoint-refactor
-#: baseline), instead of emitting columnar-native Relations. Not a user
-#: knob — ``columnar=off`` is the supported way to disable the plane.
-COLUMNAR_FIXPOINT = True
-
 
 def _columnar_mode(ctx) -> str:
     """The effective columnar knob: "off" whenever the session disables it
@@ -2813,10 +2807,9 @@ def eval_rule_relation(rule: Rule, env: Env, ctx,
     got = _eval_rule_result(rule, env, ctx, demand, full_arity)
     if got is None:
         return EMPTY
-    if COLUMNAR_FIXPOINT:
-        rel = _emit_columnar(*got, ctx)
-        if rel is not None:
-            return _charge_rows(rel)
+    rel = _emit_columnar(*got, ctx)
+    if rel is not None:
+        return _charge_rows(rel)
     keyed = _emit_keyed(*got, ctx)
     if not keyed:
         return EMPTY

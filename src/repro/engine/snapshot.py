@@ -70,7 +70,6 @@ class SnapshotState(EvalState):
         self.maint_stats: Dict[str, int] = {}
         self.plan_stats: Dict[str, int] = {}
         self.columnar_stats: Dict[str, int] = {}
-        self.parallel_stats: Dict[str, int] = {}
         # Private overlays over the parent's warm caches: lookups read
         # through to the parent (atomic gets, identity/generation
         # validated), inserts and evictions stay local.

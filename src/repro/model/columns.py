@@ -88,9 +88,8 @@ def _reinit_intern_lock_after_fork() -> None:
     safe to inherit: fork happens while the forking thread holds the
     GIL, so the append-only table is at a bytecode boundary and the
     append-before-publish discipline keeps every published code
-    decodable. Only the lock needs to be fresh. (The parallel worker
-    pool sidesteps all of this by spawning; this guard is for processes
-    users fork themselves.)
+    decodable. Only the lock needs to be fresh. The engine itself never
+    forks; this guard protects processes users fork themselves.
     """
     global _intern_lock
     _intern_lock = threading.Lock()

@@ -53,8 +53,8 @@ def _poison_managers_after_fork() -> None:
     each manager fork-poisoned: writes raise
     :class:`~repro.storage.errors.StorageClosedError` and close() becomes
     a no-op that never touches the shared descriptors. The parent's
-    manager is untouched. (The parallel worker pool spawns instead of
-    forking and never reaches this path.)
+    manager is untouched. The engine itself never forks; this guard
+    protects processes users fork themselves.
     """
     for manager in list(_live_managers):
         manager._poison_after_fork()

@@ -1,5 +1,10 @@
 """The Session facade: prepared queries, incremental invalidation, transactions."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro import PreparedQuery, Relation, Session, connect
@@ -181,3 +186,38 @@ class TestIntrospection:
     def test_output_relation(self, session):
         session.load("def output(x) : F(x)")
         assert session.output() == Relation([(10,)])
+
+
+class TestEngineKnobs:
+    def test_setters_validate_then_assign_in_place(self):
+        s = connect(load_stdlib=False)
+        options = s.program.options
+        with pytest.raises(ValueError, match="maintenance"):
+            s.maintenance = "bogus"
+        assert options.maintenance == "auto"
+        s.maintenance = "delta"
+        assert s.program.options is options
+        assert options.maintenance == "delta"
+
+    def test_unknown_keyword_is_rejected(self):
+        with pytest.raises(TypeError):
+            connect(load_stdlib=False, workers=2)
+
+    def test_connect_imports_no_process_pool(self):
+        """The core has no multiprocessing dependency: a first connect()
+        must not pull it (or any IPC codec) into the process."""
+        src = pathlib.Path(__file__).parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        probe = (
+            "import sys, repro; repro.connect(load_stdlib=False); "
+            "print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'multiprocessing' "
+            "or (m.startswith('repro.engine.') and "
+            "m.rpartition('.')[2] in ('parallel', 'exchange'))))"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"

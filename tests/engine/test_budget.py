@@ -216,86 +216,6 @@ def test_writes_are_not_throttled_by_a_read_budget():
 # ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Budget and cancel propagation across shard workers (workers > 1)
-# ---------------------------------------------------------------------------
-
-
-def _parallel_cycle_session(n):
-    session = repro.connect(load_stdlib=False, workers=2, parallel="on")
-    session.program.options.parallel_min_rows = 1
-    session.define("Edge", [(i, (i + 1) % n) for i in range(n)])
-    session.load(TC_SOURCE)
-    return session
-
-
-def test_deadline_aborts_parallel_evaluation():
-    """With workers > 1 the parent enforces the deadline at exchange
-    barriers and relays it to the shard workers through the shared cancel
-    flag; the abort must stay prompt and the re-query exact."""
-    n = 300
-    session = _parallel_cycle_session(n)
-    started = time.monotonic()
-    with pytest.raises(QueryTimeoutError):
-        session.execute("Path", deadline=0.05)
-    elapsed = time.monotonic() - started
-    assert elapsed < 1.0, f"parallel abort took {elapsed:.3f}s"
-
-    rows = session.execute("Path")
-    assert len(rows) == n * n
-
-
-def test_server_cancel_aborts_parallel_evaluation():
-    """QueryServer.cancel(future) must stop a parallel evaluation: the
-    budget cancel trips at the parent's next barrier poll, raises the
-    shared worker flag, and the future surfaces QueryCancelledError."""
-    session = _parallel_cycle_session(400)
-    server = session.serve(threads=1)
-    try:
-        future = server.submit("Path", budget=EvalBudget())
-        time.sleep(0.05)
-        server.cancel(future)
-        with pytest.raises(QueryCancelledError):
-            future.result(timeout=30)
-        # The session recovers: a fresh uncancelled query is exact.
-        assert len(session.execute("Path")) == 400 * 400
-    finally:
-        server.close()
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_abort_then_requery_differential_with_workers(seed):
-    """The PR-9 abort/requery differential, re-run under workers=2: a
-    budget abort mid-parallel-fixpoint must leave the session agreeing
-    exactly with an unbudgeted sequential twin."""
-    rng = random.Random(seed * 4241 + 3)
-    session = repro.connect(workers=2, parallel="on")
-    session.program.options.parallel_min_rows = 1
-    twin = repro.connect()
-    for s in (session, twin):
-        for name, rows in SCRIPT_BASE.items():
-            s.define(name, rows)
-        s.load(SCRIPT_RULES)
-
-    for _ in range(8):
-        kind, name, tuples = random_update_op(rng)
-        for s in (session, twin):
-            if kind == "insert":
-                s.insert(name, tuples)
-            else:
-                s.delete(name, tuples)
-        query = rng.choice(SCRIPT_QUERIES)
-        if rng.random() < 0.5:
-            try:
-                session.execute(
-                    query,
-                    budget=EvalBudget(max_rows=rng.choice([1, 5, 20])))
-            except QueryBudgetError:
-                pass
-        assert session.execute(query) == twin.execute(query), \
-            f"seed {seed}: {query!r} diverged after abort with workers=2"
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_abort_then_requery_differential(seed):
     """Interleave random updates, randomly-budgeted queries (some abort,
