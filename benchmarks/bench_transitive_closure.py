@@ -9,11 +9,13 @@ growing with size; results are identical.
 Regenerates the series: engine × {naive, semi-naive} × workload.
 """
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from repro import RelProgram, Relation
 from repro.datalog import DatalogProgram
-from repro.engine.program import EngineOptions
 from repro.workloads import chain_graph, grid_graph, random_graph
 
 TC_SOURCE = """
@@ -23,10 +25,14 @@ TC_SOURCE = """
 
 
 def rel_tc(edges, semi_naive):
-    program = RelProgram(options=EngineOptions(semi_naive=semi_naive))
+    program = RelProgram()
     program.define("E", Relation(edges))
     program.add_source(TC_SOURCE)
-    return program.relation("TCr")
+    # Naive: no stratum is semi-naive eligible, so Kleene iteration runs.
+    naive = mock.patch.object(RelProgram, "_stratum_sn_eligible",
+                              return_value=False)
+    with contextlib.nullcontext() if semi_naive else naive:
+        return program.relation("TCr")
 
 
 def datalog_tc(edges, semi_naive):

@@ -91,9 +91,7 @@ def _fresh(prefix: str) -> str:
 #: Under ``columnar="auto"`` the vectorized kernels only engage above this
 #: input size — below it the Python→numpy round-trip costs more than it
 #: saves. ``"on"`` ignores the threshold, so the differential suite can
-#: exercise the kernels on arbitrarily small tables. This is the *default*
-#: for :class:`~repro.engine.program.EngineOptions.columnar_min_rows`
-#: (env override ``REPRO_COLUMNAR_MIN_ROWS``); sessions read the option.
+#: exercise the kernels on arbitrarily small tables.
 _COLUMNAR_MIN_ROWS = 64
 
 
@@ -107,17 +105,10 @@ def _columnar_mode(ctx) -> str:
     return mode
 
 
-def _kernel_wanted(mode: str, n: int, ctx=None) -> bool:
+def _kernel_wanted(mode: str, n: int) -> bool:
     if mode == "on":
         return True
-    if mode != "auto":
-        return False
-    floor = _COLUMNAR_MIN_ROWS
-    if ctx is not None:
-        options = getattr(ctx, "options", None)
-        floor = getattr(options, "columnar_min_rows", floor) \
-            if options is not None else floor
-    return n >= floor
+    return mode == "auto" and n >= _COLUMNAR_MIN_ROWS
 
 
 def _count_columnar(ctx, event: str) -> None:
@@ -145,7 +136,7 @@ def _dedupe(table: Table, ctx) -> Table:
     knob and input size allow — the result is identical either way."""
     if table.distinct:
         return table
-    if len(table) and _kernel_wanted(_columnar_mode(ctx), len(table), ctx):
+    if len(table) and _kernel_wanted(_columnar_mode(ctx), len(table)):
         _budget_checkpoint()
         result = dedupe_table(table)
         if result is not None:
@@ -161,7 +152,7 @@ def _project(table: Table, keep: Sequence[str], ctx) -> Table:
     Sized checks only (``len``, never ``.rows``): a columnar-backed table
     must reach :func:`project_table` unmaterialized for the vectorized
     fast path to pay off."""
-    if len(table) and _kernel_wanted(_columnar_mode(ctx), len(table), ctx):
+    if len(table) and _kernel_wanted(_columnar_mode(ctx), len(table)):
         _budget_checkpoint()
         result = project_table(table, keep)
         if result is not None:
@@ -174,7 +165,7 @@ def _project(table: Table, keep: Sequence[str], ctx) -> Table:
 def _union(tables: List[Table], cols: Tuple[str, ...], ctx) -> Table:
     """:func:`union_tables` routed through the columnar kernel."""
     total = sum(len(t) for t in tables)
-    if total and _kernel_wanted(_columnar_mode(ctx), total, ctx):
+    if total and _kernel_wanted(_columnar_mode(ctx), total):
         _budget_checkpoint()
         result = union_tables_typed(tables, cols)
         if result is not None:
@@ -701,7 +692,7 @@ def _attach_multiway(atoms: List[joins_planner.Atom],
     result = None
     result_cols = None
     mode = _columnar_mode(ctx)
-    if _kernel_wanted(mode, sum(len(a.rows) for a in atoms), ctx):
+    if _kernel_wanted(mode, sum(len(a.rows) for a in atoms)):
         # Vectorized probe first: every participating column typed means
         # the whole join runs as numpy kernels; any untypeable atom makes
         # it decline and the interpreted strategies below take over. The
@@ -723,9 +714,7 @@ def _attach_multiway(atoms: List[joins_planner.Atom],
     if result is None and result_cols is None:
         strategy = getattr(options, "join_strategy", "off")
         if strategy == "auto":
-            strategy = joins_planner.choose_strategy(
-                atoms, getattr(options, "leapfrog_min_rows", 128)
-            )
+            strategy = joins_planner.choose_strategy(atoms)
         trie_builder = None
         index_builder = None
         if state is not None:
@@ -1607,7 +1596,7 @@ def _match_realized_rows(rel: Relation, realized, partial: bool,
             prefix_len += 1
         else:
             break
-    if prefix_len and getattr(ctx.options, "use_atom_index", True):
+    if prefix_len:
         index = ctx.state.index(rel, prefix_len)
         key = tuple(item[1] for item in realized[:prefix_len])
         candidates = index.get(key, ())

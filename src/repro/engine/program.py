@@ -34,7 +34,6 @@ from repro.engine.builtins import Builtin
 from repro.engine.errors import (
     ConvergenceError,
     EvaluationError,
-    QueryBudgetError,
     SafetyError,
     UnknownRelationError,
 )
@@ -48,7 +47,6 @@ from repro.engine.expand import (
     rule_orderable,
     simulate,
 )
-from repro.engine import expand as _expand
 from repro.engine.runtime import Closure, Env, Rule, compile_rule
 from repro.engine.table import Table
 from repro.lang import ast, parse_expression, parse_program
@@ -62,27 +60,30 @@ from repro.model.values import value_key
 if sys.getrecursionlimit() < 100_000:
     sys.setrecursionlimit(100_000)
 
+#: Delete-rederive checks candidates tuple-by-tuple (demanded head
+#: bindings) up to this many candidates; beyond it, one full rule
+#: evaluation intersected with the candidate set is cheaper. Point lookups
+#: stay cheaper than a full recursive join well into the hundreds.
+_REDERIVE_DEMAND_LIMIT = 512
+
 
 @dataclasses.dataclass
 class EngineOptions:
-    """Tunable evaluation limits and ablation switches."""
+    """The evaluation limit and the engine's oracle paths.
+
+    ``max_global_iterations`` caps every fixpoint loop (a stratum, an
+    insert or over-delete maintenance pass, and a second-order instance),
+    raising :class:`ConvergenceError` past it. The other fields select an
+    alternative evaluation path the default must agree with — the
+    differential tests run both sides."""
 
     max_global_iterations: int = 100_000
-    max_instance_iterations: int = 100_000
-    semi_naive: bool = True
-    #: Hash-index atoms on their bound prefix (ablation: benchmarks/bench_ablation.py).
-    use_atom_index: bool = True
-    #: Memoize second-order instance extents (ablation: same bench).
-    memoize_instances: bool = True
     #: Multiway-join routing for conjunctions of positive atoms over
     #: materialized relations: "auto" picks leapfrog vs. a greedy binary
     #: plan per conjunction (cardinality/cyclicity heuristic), "leapfrog" /
     #: "binary" force one strategy, "off" keeps the per-conjunct fallback
     #: scheduler only.
     join_strategy: str = "auto"
-    #: "auto" only routes to leapfrog when the participating atoms hold at
-    #: least this many rows in total (trie building must amortize).
-    leapfrog_min_rows: int = 128
     #: How base-relation updates reach materialized derived extents:
     #: "delta" propagates insert/delete deltas through the stratified
     #: fixpoint (semi-naive for inserts, DRed delete-rederive for deletes),
@@ -92,12 +93,6 @@ class EngineOptions:
     #: behavior; "auto" is "delta" for small deltas and falls back to
     #: "recompute" when the delta is a large fraction of the relation.
     maintenance: str = "auto"
-    #: Delete-rederive checks candidates tuple-by-tuple (demanded head
-    #: bindings) up to this many candidates; beyond it, one full rule
-    #: evaluation intersected with the candidate set is cheaper. Point
-    #: lookups stay cheaper than a full recursive join well into the
-    #: hundreds of candidates.
-    rederive_demand_limit: int = 512
     #: Compile rule bodies and query conjunctions to cached executable
     #: plans (conjunct order + multiway-join extraction + hash-join
     #: indexes), replayed across fixpoint iterations, maintenance passes,
@@ -116,13 +111,6 @@ class EngineOptions:
     #: ``REPRO_COLUMNAR`` overrides the default (CI ablation).
     columnar: str = dataclasses.field(
         default_factory=lambda: os.environ.get("REPRO_COLUMNAR", "auto").lower() or "auto")
-    #: The ``columnar="auto"`` engagement floor: vectorized kernels only
-    #: run on inputs of at least this many rows (below it the
-    #: Python→numpy round-trip costs more than it saves; ``"on"`` ignores
-    #: the floor). The environment variable ``REPRO_COLUMNAR_MIN_ROWS``
-    #: overrides the default of 64.
-    columnar_min_rows: int = dataclasses.field(
-        default_factory=lambda: _columnar_min_rows_default())
 
     def __post_init__(self) -> None:
         if self.join_strategy not in ("auto", "leapfrog", "binary", "off"):
@@ -139,12 +127,6 @@ class EngineOptions:
             raise ValueError(
                 f"unknown columnar mode {self.columnar!r}; expected "
                 f"'auto', 'on', or 'off'"
-            )
-        if type(self.columnar_min_rows) is not int \
-                or self.columnar_min_rows < 0:
-            raise ValueError(
-                f"columnar_min_rows must be a non-negative integer, "
-                f"got {self.columnar_min_rows!r}"
             )
 
 
@@ -167,18 +149,6 @@ def _plane_stats(state):
         yield
     finally:
         _columns.swap_stats_sink(prev)
-
-
-def _columnar_min_rows_default() -> int:
-    raw = os.environ.get("REPRO_COLUMNAR_MIN_ROWS", "").strip()
-    if not raw:
-        return _expand._COLUMNAR_MIN_ROWS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_COLUMNAR_MIN_ROWS must be an integer, got {raw!r}"
-        ) from None
 
 
 class EvalState:
@@ -550,10 +520,9 @@ class EvalContext:
             demand,
             full_arity,
         )
-        if self.options.memoize_instances:
-            memoized = state.memo_get(key)
-            if memoized is not None:
-                return memoized
+        memoized = state.memo_get(key)
+        if memoized is not None:
+            return memoized
         if key in state.in_progress:
             for frame_keys in state.touch_stack:
                 frame_keys.add(key)
@@ -566,7 +535,7 @@ class EvalContext:
             iterations = 0
             while True:
                 iterations += 1
-                if iterations > self.options.max_instance_iterations:
+                if iterations > self.options.max_global_iterations:
                     raise ConvergenceError(
                         f"instance of {closure.name} did not stabilize after "
                         f"{iterations - 1} iterations"
@@ -595,7 +564,7 @@ class EvalContext:
             # propagate the taint and skip memoization.
             for frame_keys in state.touch_stack:
                 frame_keys.update(foreign)
-        elif self.options.memoize_instances:
+        else:
             state.memoize(key, result)
         return result
 
@@ -819,18 +788,6 @@ def _shadows_any(node: ast.Node, names: Set[str]) -> bool:
     return False
 
 
-def _sn_eligible(rule: Rule, recursive: Set[str]) -> bool:
-    occurrences: List[Tuple[str, bool]] = []
-    _collect_occurrences(rule.body, recursive, False, occurrences)
-    # InBinding domains and const-binding expressions must not be recursive.
-    for binding in rule.head:
-        if isinstance(binding, ast.InBinding):
-            _collect_occurrences(binding.domain, recursive, True, occurrences)
-        elif isinstance(binding, ast.ConstBinding):
-            _collect_occurrences(binding.expr, recursive, True, occurrences)
-    return occurrences != [] and all(not restricted for _, restricted in occurrences)
-
-
 # ---------------------------------------------------------------------------
 # The program
 # ---------------------------------------------------------------------------
@@ -921,19 +878,7 @@ class RelProgram:
         maintenance mode and occurrence analysis allow it; otherwise only
         the strata that (transitively) depend on it are dirtied. Everything
         else keeps its computed extent and instance memos."""
-        old = self._base.get(name)
-        # Copy-on-write: the base mapping is replaced, never mutated in
-        # place, so snapshots sharing the previous mapping stay frozen.
-        base = dict(self._base)
-        base[name] = relation
-        self._base = base
-        if old is not None and (old is relation or old == relation):
-            return
-        if old is None:
-            self._define_new_base(name)
-            return
-        if not self._try_maintain({name: (old, relation)}):
-            self._invalidate_data(name, old)
+        self._apply_updates_inner({name: (self._base.get(name), relation)})
 
     def _define_new_base(self, name: str) -> None:
         """First touch of a brand-new base name.
@@ -1280,21 +1225,30 @@ class RelProgram:
                                ctx: EvalContext) -> None:
         """From-scratch evaluation of one SCC (shared by the global
         evaluation walk and the maintenance driver's recompute fallback)."""
+        state = ctx.state
         try:
             if not self._is_recursive_component(component):
                 self._materialize_stratum_once(materializable, ctx)
-            elif self.options.semi_naive and \
-                    self._stratum_sn_eligible(component):
-                self._materialize_semi_naive(materializable, ctx)
+            elif self._stratum_sn_eligible(component):
+                # Round 0 from empty member extents; everything it derives
+                # is the first frontier of the semi-naive rounds.
+                for name in materializable:
+                    state.set_extent(name, EMPTY)
+                self._materialize_stratum_once(materializable, ctx)
+                self._delta_rounds(
+                    materializable, frozenset(materializable),
+                    {n: state.extents[n] for n in materializable},
+                    self._grow(state, bump=True), True, "evaluation", ctx)
             else:
                 self._materialize_kleene(materializable, ctx)
-        except QueryBudgetError:
-            # Abort consistency: a budget abort mid-fixpoint must not leave
-            # a partial approximation installed. Drop the in-flight
-            # members' extents (and delta frontiers) so the next query
-            # recomputes them from scratch; round 0 of that recomputation
-            # always bumps the member generations past any transient ones,
-            # so memos minted against the partial state are unreachable.
+        except BaseException:
+            # Whatever stopped the fixpoint (a budget abort, a
+            # ConvergenceError, an evaluation error), no partial
+            # approximation may stay installed: drop the in-flight members'
+            # extents so the next query recomputes them and fails or
+            # succeeds the same way. Round 0 of that recomputation always
+            # bumps the member generations past any transient ones, so
+            # memos minted against the partial state are unreachable.
             self._discard_partial_component(materializable, ctx)
             raise
 
@@ -1307,7 +1261,6 @@ class RelProgram:
             if rel is not None:
                 dropped.append(rel)
             state.drop_extent(name)
-            state.extents.pop("__delta__" + name, None)
         state.drop_indexes_for(dropped)
 
     def _materialize_single(self, name: str, ctx: EvalContext) -> Relation:
@@ -1365,72 +1318,91 @@ class RelProgram:
             if not changed:
                 return
 
-    def _materialize_semi_naive(self, names: List[str], ctx: EvalContext) -> None:
-        """Classic semi-naive (delta) evaluation for positive recursion."""
+    def _delta_rounds(self, members: List[str], watch: FrozenSet[str],
+                      frontier: Dict[str, Relation], absorb,
+                      recursive: bool, what: str, ctx: EvalContext) -> None:
+        """The one semi-naive round loop: materialisation of a positive
+        recursive stratum, insert propagation and DRed's over-delete search
+        all run here.
+
+        Each round installs ``frontier[x]`` as ``__delta__<x>`` for every
+        watched name, evaluates each member's delta variants (one rewrite
+        per positive occurrence of a watched name, see
+        :meth:`delta_variants_of`) whose target frontier is non-empty, and
+        hands their union to ``absorb(member, derived)``, which keeps what
+        it needs and returns the fresh part: that member's next frontier.
+        A non-recursive stratum stops after one round. The ``__delta__``
+        extents are removed however the loop ends."""
         state = ctx.state
-        recursive = set(names)
-        # Round 0: evaluate with empty recursive extents.
-        for name in names:
-            state.set_extent(name, EMPTY)
-        total: Dict[str, Relation] = {}
-        delta: Dict[str, Relation] = {}
-        for name in names:
-            total[name] = self._eval_name_once(name, ctx)
-            delta[name] = total[name]
-        for name in names:
-            state.set_extent(name, total[name])
-        # Precompute delta variants per rule (identity-stable via the
-        # program-level cache, so compiled plans persist across fixpoints).
-        watch = frozenset(recursive)
-        variants: Dict[str, List[Rule]] = {}
-        for name in names:
-            entries = []
-            for rule in self._rules[name]:
-                for _, variant_rule in self.delta_variants_of(rule, watch):
-                    entries.append(variant_rule)
-            variants[name] = entries
+        variants = {m: [entry for rule in self._rules[m]
+                        for entry in self.delta_variants_of(rule, watch)]
+                    for m in members}
         iterations = 0
-        while any(delta[n] for n in names):
-            iterations += 1
-            if iterations > self.options.max_global_iterations:
-                raise ConvergenceError(
-                    f"stratum {names} did not stabilize after {iterations - 1} "
-                    f"iterations"
-                )
-            _budget.count_iteration()
-            for name in names:
-                state.extents["__delta__" + name] = delta[name]
-            new_delta: Dict[str, Relation] = {n: EMPTY for n in names}
-            for name in names:
-                state.count_eval(name)
-                derived = EMPTY
-                for variant_rule in variants[name]:
-                    derived = derived.union(
-                        eval_rule_relation(variant_rule, Env.EMPTY, ctx))
-                new_delta[name] = derived.difference(total[name])
-            for name in names:
-                total[name] = total[name].union(new_delta[name])
-                delta[name] = new_delta[name]
-                state.set_extent(name, total[name])
-        for name in names:
-            state.extents.pop("__delta__" + name, None)
+        try:
+            while any(frontier.values()):
+                iterations += 1
+                if iterations > self.options.max_global_iterations:
+                    raise ConvergenceError(
+                        f"{what} of {members} did not stabilize after "
+                        f"{iterations - 1} iterations"
+                    )
+                _budget.count_iteration()
+                for x in watch:
+                    state.extents["__delta__" + x] = frontier.get(x, EMPTY)
+                next_frontier: Dict[str, Relation] = {}
+                for m in members:
+                    derived = EMPTY
+                    evaluated = False
+                    for target, variant_rule in variants[m]:
+                        if frontier.get(target):
+                            evaluated = True
+                            derived = derived.union(eval_rule_relation(
+                                variant_rule, Env.EMPTY, ctx))
+                    if evaluated:
+                        state.count_eval(m)
+                        fresh = absorb(m, derived)
+                        if fresh:
+                            next_frontier[m] = fresh
+                if not recursive:
+                    break
+                frontier = next_frontier
+        finally:
+            for x in watch:
+                state.extents.pop("__delta__" + x, None)
+
+    @staticmethod
+    def _grow(state: EvalState, bump: bool):
+        """``absorb`` for materialisation and insert propagation: derived
+        tuples the extent lacks join it and form the next frontier. With
+        ``bump`` every growth moves the member's generation (materialisation
+        keeps generations exact round by round); insert propagation bumps
+        once per stratum, in :meth:`_maintain_component_delta`."""
+        def absorb(member: str, derived: Relation) -> Relation:
+            extent = state.extents[member]
+            fresh = derived.difference(extent)
+            if fresh:
+                state.extents[member] = extent.union(fresh)
+                if bump:
+                    state.bump_name(member)
+            return fresh
+        return absorb
 
     # -- incremental maintenance (materialized views under updates) -------------
     #
     # The paper's engine (Section 5) keeps derived relations consistent
     # under base-relation updates. Instead of dropping every dependent
-    # extent and recomputing (the `maintenance="recompute"` legacy path),
-    # the driver below walks the affected SCC strata in topological order
-    # and, per stratum:
+    # extent and recomputing (the `maintenance="recompute"` path), the
+    # driver below walks the affected SCC strata in topological order and,
+    # per stratum:
     #
-    # - **inserts** run the semi-naive delta rules (the same
-    #   ``__delta__<name>`` rewrites recursion uses) seeded with the base
-    #   delta — one rewritten body per positive occurrence of a changed
-    #   name, evaluated through the ordinary scheduler, so the WCOJ
+    # - **inserts** run the delta rounds of :meth:`_delta_rounds` (the same
+    #   ``__delta__<name>`` rewrites materialisation uses) seeded with the
+    #   base delta, evaluated through the ordinary scheduler, so the WCOJ
     #   multiway-join path serves the delta joins;
     # - **deletes** run DRed: over-delete every tuple with a derivation
-    #   through a deleted tuple (delta rules against the pre-update state),
-    #   then re-derive the candidates that still have support;
+    #   through a deleted tuple (the same delta rounds, against the
+    #   pre-update state), then re-derive the candidates that still have
+    #   support with a separate loop of point lookups or full rule passes;
     # - strata whose rules use a changed name in a restricted context
     #   (negation, aggregation, comparisons, overrides) are recomputed from
     #   scratch and diffed, so their *net* delta keeps propagating
@@ -1462,6 +1434,8 @@ class RelProgram:
     ) -> None:
         fresh: List[str] = []
         changed: Dict[str, Tuple[Relation, Relation]] = {}
+        # Copy-on-write: the base mapping is replaced, never mutated in
+        # place, so snapshots sharing the previous mapping stay frozen.
         base = dict(self._base)
         for name, (old, new) in updates.items():
             base[name] = new
@@ -1475,19 +1449,16 @@ class RelProgram:
             if self._state is None:
                 # The new name forced a full reset; nothing left to maintain.
                 return
-        if changed:
-            try:
-                maintained = self._try_maintain(changed)
-            except QueryBudgetError:
-                # A budget abort mid-maintenance leaves dependent strata
-                # stale relative to the already-installed base; fall back
-                # to drop-and-recompute invalidation (a consistent state)
-                # before letting the abort propagate. The session layer
-                # suspends budgets around writes, so this only triggers
-                # for direct engine users evaluating under a budget.
-                for name, (old, _) in changed.items():
-                    self._invalidate_data(name, old)
-                raise
+        if not changed:
+            return
+        maintained = False
+        try:
+            maintained = self._try_maintain(changed)
+        finally:
+            # Declined maintenance, or an error (a budget abort, a
+            # ConvergenceError) that left dependent strata stale relative
+            # to the installed base: drop-and-recompute invalidation is
+            # the consistent state either way.
             if not maintained:
                 for name, (old, _) in changed.items():
                     self._invalidate_data(name, old)
@@ -1551,55 +1522,50 @@ class RelProgram:
         # delta-maintained.
         unknown: Set[str] = set()
         opaque: Set[str] = set()
-        try:
-            for component in self._strata:
-                comp_refs = set(component)
-                for n in component:
-                    for rule in self._rules[n]:
-                        comp_refs |= rule.free
-                if not (comp_refs & (set(changed) | unknown | opaque)):
-                    continue
-                materializable = [n for n in component
-                                  if self.is_materialized(n)]
-                if not materializable:
-                    # On-demand only: generation bumps refresh its instance
-                    # memos, but its delta is unobservable — dependents must
-                    # not assume "no delta recorded" means "unchanged".
-                    opaque |= set(component)
-                    continue
-                if comp_refs & unknown or \
-                        not all(n in state.extents for n in materializable):
-                    # No delta available (or nothing to maintain): drop and
-                    # let the next evaluation recompute lazily.
-                    dropped = []
-                    for n in materializable:
-                        rel = state.extents.get(n)
-                        if rel is not None:
-                            dropped.append(rel)
-                        state.drop_extent(n)
-                    state.drop_indexes_for(dropped)
-                    unknown |= set(component)
-                    state.count_maintenance("dropped_strata")
-                    continue
-                trigger = {n: changed[n] for n in comp_refs if n in changed}
-                if not (comp_refs & opaque) and \
-                        self._maintenance_eligible(component, set(trigger)):
-                    net = self._maintain_component_delta(
-                        component, materializable, trigger, pre, ctx)
-                    state.count_maintenance("maintained_strata")
-                else:
-                    net = self._recompute_component_diff(
-                        component, materializable, pre, ctx)
-                    state.count_maintenance("recomputed_strata")
-                changed.update(net)
-                if len(materializable) < len(component):
-                    # Mixed component: the non-materialized members remain
-                    # delta-opaque even though the extents were diffed.
-                    opaque |= set(component) - set(materializable)
-        finally:
-            for key in [k for k in state.extents
-                        if k.startswith("__delta__")]:
-                del state.extents[key]
+        for component in self._strata:
+            comp_refs = set(component)
+            for n in component:
+                for rule in self._rules[n]:
+                    comp_refs |= rule.free
+            if not (comp_refs & (set(changed) | unknown | opaque)):
+                continue
+            materializable = [n for n in component
+                              if self.is_materialized(n)]
+            if not materializable:
+                # On-demand only: generation bumps refresh its instance
+                # memos, but its delta is unobservable — dependents must
+                # not assume "no delta recorded" means "unchanged".
+                opaque |= set(component)
+                continue
+            if comp_refs & unknown or \
+                    not all(n in state.extents for n in materializable):
+                # No delta available (or nothing to maintain): drop and
+                # let the next evaluation recompute lazily.
+                dropped = []
+                for n in materializable:
+                    rel = state.extents.get(n)
+                    if rel is not None:
+                        dropped.append(rel)
+                    state.drop_extent(n)
+                state.drop_indexes_for(dropped)
+                unknown |= set(component)
+                state.count_maintenance("dropped_strata")
+                continue
+            trigger = {n: changed[n] for n in comp_refs if n in changed}
+            if not (comp_refs & opaque) and \
+                    self._maintenance_eligible(component, set(trigger)):
+                net = self._maintain_component_delta(
+                    component, materializable, trigger, pre, ctx)
+                state.count_maintenance("maintained_strata")
+            else:
+                net = self._recompute_component_diff(
+                    component, materializable, pre, ctx)
+                state.count_maintenance("recomputed_strata")
+            changed.update(net)
+            if len(materializable) < len(component):
+                # Mixed component: the non-materialized members remain
+                # delta-opaque even though the extents were diffed.
+                opaque |= set(component) - set(materializable)
         return True
 
     def _maintenance_eligible(self, component: List[str],
@@ -1650,35 +1616,27 @@ class RelProgram:
         ``pre`` for downstream over-deletion."""
         state = ctx.state
         recursive = self._is_recursive_component(component)
-        watch = set(trigger) | (set(component) if recursive else set())
+        watch = frozenset(trigger).union(component if recursive else ())
         old_ext = {m: state.extents[m] for m in members}
-        frozen_watch = frozenset(watch)
-        variants: Dict[str, List[Tuple[str, Rule]]] = {}
-        for m in members:
-            entries = []
-            for rule in self._rules[m]:
-                entries.extend(self.delta_variants_of(rule, frozen_watch))
-            variants[m] = entries
 
         minus_frontier = {n: mi for n, (_, mi) in trigger.items() if mi}
         if minus_frontier:
             self._overdelete_and_rederive(
-                members, watch, variants, minus_frontier, old_ext,
-                trigger, pre, recursive, ctx)
+                members, watch, minus_frontier, old_ext, trigger, pre,
+                recursive, ctx)
 
+        grow = self._grow(state, bump=False)
         plus_frontier = {n: pl for n, (pl, _) in trigger.items()
                          if pl and n not in members}
         for m in members:
             if m in trigger and trigger[m][0]:
                 # The member's own base grew: new base tuples join the
                 # extent directly and seed the member's delta.
-                fresh = trigger[m][0].difference(state.extents[m])
+                fresh = grow(m, trigger[m][0])
                 if fresh:
-                    state.extents[m] = state.extents[m].union(fresh)
                     plus_frontier[m] = fresh
-        if plus_frontier:
-            self._propagate_inserts(members, watch, variants, plus_frontier,
-                                    recursive, ctx)
+        self._delta_rounds(members, watch, plus_frontier, grow, recursive,
+                           "insert maintenance", ctx)
 
         net: Dict[str, Tuple[Relation, Relation]] = {}
         for m in members:
@@ -1702,8 +1660,7 @@ class RelProgram:
     def _overdelete_and_rederive(
         self,
         members: List[str],
-        watch: Set[str],
-        variants: Dict[str, List[Tuple[str, Rule]]],
+        watch: FrozenSet[str],
         minus_frontier: Dict[str, Relation],
         old_ext: Dict[str, Relation],
         trigger: Dict[str, Tuple[Relation, Relation]],
@@ -1731,39 +1688,16 @@ class RelProgram:
         for m in members:
             if m in trigger and trigger[m][1]:
                 cand[m] = trigger[m][1].intersect(old_ext[m])
-        frontier = dict(minus_frontier)
+
+        def overdelete(member: str, derived: Relation) -> Relation:
+            fresh = derived.intersect(old_ext[member]).difference(cand[member])
+            if fresh:
+                cand[member] = cand[member].union(fresh)
+            return fresh
+
         try:
-            iterations = 0
-            while frontier and any(frontier.values()):
-                iterations += 1
-                if iterations > self.options.max_global_iterations:
-                    raise ConvergenceError(
-                        f"over-deletion of {members} did not stabilize after "
-                        f"{iterations - 1} iterations"
-                    )
-                _budget.count_iteration()
-                for x in watch:
-                    state.extents["__delta__" + x] = frontier.get(x, EMPTY)
-                new_frontier: Dict[str, Relation] = {}
-                for m in members:
-                    derived = EMPTY
-                    evaluated = False
-                    for target, variant_rule in variants[m]:
-                        if not frontier.get(target):
-                            continue
-                        evaluated = True
-                        derived = derived.union(
-                            eval_rule_relation(variant_rule, Env.EMPTY, ctx))
-                    if evaluated:
-                        state.count_eval(m)
-                    fresh = derived.intersect(old_ext[m]).difference(cand[m])
-                    if fresh:
-                        cand[m] = cand[m].union(fresh)
-                        if recursive:
-                            new_frontier[m] = fresh
-                frontier = new_frontier
-                if not recursive:
-                    break
+            self._delta_rounds(members, watch, minus_frontier, overdelete,
+                               recursive, "over-deletion", ctx)
         finally:
             for n, (present, value) in overlays.items():
                 if present:
@@ -1810,7 +1744,7 @@ class RelProgram:
         if not rest:
             return survivors
         rules = self._rules[name]
-        if len(rest) <= self.options.rederive_demand_limit:
+        if len(rest) <= _REDERIVE_DEMAND_LIMIT:
             try:
                 derived: List[Tuple[Any, ...]] = []
                 for tup in rest.rows():
@@ -1831,52 +1765,6 @@ class RelProgram:
             derived_rel = derived_rel.union(
                 eval_rule_relation(rule, Env.EMPTY, ctx))
         return survivors.union(derived_rel.intersect(rest))
-
-    def _propagate_inserts(
-        self,
-        members: List[str],
-        watch: Set[str],
-        variants: Dict[str, List[Tuple[str, Rule]]],
-        plus_frontier: Dict[str, Relation],
-        recursive: bool,
-        ctx: EvalContext,
-    ) -> None:
-        """Semi-naive insert propagation: evaluate the delta-rewritten rule
-        variants seeded with the insert frontier against the current (new)
-        totals; newly derived tuples become the next frontier."""
-        state = ctx.state
-        iterations = 0
-        frontier = dict(plus_frontier)
-        while frontier and any(frontier.values()):
-            iterations += 1
-            if iterations > self.options.max_global_iterations:
-                raise ConvergenceError(
-                    f"insert maintenance of {members} did not stabilize "
-                    f"after {iterations - 1} iterations"
-                )
-            _budget.count_iteration()
-            for x in watch:
-                state.extents["__delta__" + x] = frontier.get(x, EMPTY)
-            new_frontier: Dict[str, Relation] = {}
-            for m in members:
-                derived = EMPTY
-                evaluated = False
-                for target, variant_rule in variants[m]:
-                    if not frontier.get(target):
-                        continue
-                    evaluated = True
-                    derived = derived.union(
-                        eval_rule_relation(variant_rule, Env.EMPTY, ctx))
-                if evaluated:
-                    state.count_eval(m)
-                fresh = derived.difference(state.extents[m])
-                if fresh:
-                    state.extents[m] = state.extents[m].union(fresh)
-                    if recursive:
-                        new_frontier[m] = fresh
-            frontier = new_frontier
-            if not recursive:
-                break
 
     def _recompute_component_diff(
         self,

@@ -403,8 +403,12 @@ def is_cyclic(atoms: Sequence[Atom]) -> bool:
     return bool(edges)
 
 
-def choose_strategy(atoms: Sequence[Atom],
-                    leapfrog_min_rows: int = 128) -> str:
+#: ``choose_strategy`` routes to leapfrog only when the participating atoms
+#: hold at least this many rows in total (trie building must amortize).
+_LEAPFROG_MIN_ROWS = 128
+
+
+def choose_strategy(atoms: Sequence[Atom]) -> str:
     """Cardinality heuristic for ``strategy="auto"``.
 
     Leapfrog pays off when the query hypergraph is cyclic (a binary plan's
@@ -412,7 +416,7 @@ def choose_strategy(atoms: Sequence[Atom],
     to amortize trie building; otherwise the greedy binary plan wins."""
     sized = [a for a in atoms if a.variables]
     total = sum(len(a.rows) for a in sized)
-    if total < leapfrog_min_rows:
+    if total < _LEAPFROG_MIN_ROWS:
         return "binary"
     return "leapfrog" if is_cyclic(sized) else "binary"
 

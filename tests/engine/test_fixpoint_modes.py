@@ -1,9 +1,12 @@
 """Fixpoint modes: naive, semi-naive, and Kleene must agree everywhere.
 
 Property-based: random graphs and random recursive program shapes evaluated
-under both engine configurations, plus the Datalog baseline where the
-program is expressible there.
+by the semi-naive round loop and by Kleene iteration, plus the Datalog
+baseline where the program is expressible there.
 """
+
+import contextlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro import RelProgram, Relation
 from repro.datalog import DatalogProgram
-from repro.engine.program import EngineOptions
 
 PROGRAMS = {
     "tc": """
@@ -45,15 +47,20 @@ edge_lists = st.lists(
 )
 
 
-def evaluate(source, edges, semi_naive):
-    program = RelProgram(options=EngineOptions(semi_naive=semi_naive))
+def evaluate(source, edges, kleene=False):
+    """Every defined name of ``source`` over ``edges``; ``kleene`` makes no
+    stratum semi-naive eligible, so Kleene iteration evaluates them all."""
+    program = RelProgram()
     program.define("E", Relation(edges))
     program.add_source(source)
-    return {
-        name: program.relation(name)
-        for name in program.closures
-        if name in source
-    }
+    no_semi_naive = mock.patch.object(RelProgram, "_stratum_sn_eligible",
+                                      return_value=False)
+    with no_semi_naive if kleene else contextlib.nullcontext():
+        return {
+            name: program.relation(name)
+            for name in program.closures
+            if name in source
+        }
 
 
 @pytest.mark.parametrize("name", list(PROGRAMS), ids=list(PROGRAMS))
@@ -61,13 +68,13 @@ def evaluate(source, edges, semi_naive):
 @given(edges=edge_lists)
 def test_modes_agree(name, edges):
     source = PROGRAMS[name]
-    assert evaluate(source, edges, True) == evaluate(source, edges, False)
+    assert evaluate(source, edges) == evaluate(source, edges, kleene=True)
 
 
 @settings(max_examples=15, deadline=None)
 @given(edges=edge_lists)
 def test_rel_agrees_with_datalog_baseline(edges):
-    rel = evaluate(PROGRAMS["tc"], edges, True)["T"]
+    rel = evaluate(PROGRAMS["tc"], edges)["T"]
     baseline = DatalogProgram()
     baseline.facts("e", edges)
     baseline.rule(("t", "?x", "?y"), [("e", "?x", "?y")])
@@ -78,8 +85,8 @@ def test_rel_agrees_with_datalog_baseline(edges):
 @settings(max_examples=10, deadline=None)
 @given(edges=edge_lists)
 def test_linear_equals_nonlinear_tc(edges):
-    linear = evaluate(PROGRAMS["tc"], edges, True)["T"]
-    nonlinear = evaluate(PROGRAMS["nonlinear-tc"], edges, True)["T"]
+    linear = evaluate(PROGRAMS["tc"], edges)["T"]
+    nonlinear = evaluate(PROGRAMS["nonlinear-tc"], edges)["T"]
     assert linear == nonlinear
 
 

@@ -24,9 +24,13 @@ RULES = """
     def NEdges(n) : n = count[E]
     def Big(x) : V(x) and x > 5
     def Both(x, y) : E(x, y) and Path(y, x)
+    def A(x, y) : E(x, y)
+    def B(x, y) : exists((z) | A(x, z) and E(z, y))
+    def A(x, y) : exists((z) | B(x, z) and E(z, y))
 """
 
-DERIVED = ["Path", "Reach", "Lonely", "LonelyTC", "NEdges", "Big", "Both"]
+DERIVED = ["Path", "Reach", "Lonely", "LonelyTC", "NEdges", "Big", "Both",
+           "A", "B"]
 
 BASE = {
     "E": [(1, 2), (2, 3)],

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro import ConvergenceError, RelProgram, Relation
+from repro import (ConvergenceError, EvalBudget, QueryBudgetError,
+                   RelProgram, Relation, connect)
+from repro.engine import budget as budget_mod
 from repro.engine.program import EngineOptions
 from repro.workloads import chain_graph, cycle_graph, random_graph
 
 
-def tc_program(edges, semi_naive=True):
-    program = RelProgram(options=EngineOptions(semi_naive=semi_naive))
+def tc_program(edges):
+    program = RelProgram()
     program.define("E", Relation(edges))
     program.add_source(
         """
@@ -50,10 +52,13 @@ class TestTransitiveClosure:
         _, edges = random_graph(12, 25, seed=3)
         assert tc_program(edges).relation("TCr").tuples == frozenset(expected_tc(edges))
 
-    def test_naive_and_semi_naive_agree(self):
+    def test_naive_and_semi_naive_agree(self, monkeypatch):
         _, edges = random_graph(10, 20, seed=5)
-        sn = tc_program(edges, semi_naive=True).relation("TCr")
-        naive = tc_program(edges, semi_naive=False).relation("TCr")
+        sn = tc_program(edges).relation("TCr")
+        # No stratum semi-naive eligible: Kleene iteration evaluates it.
+        monkeypatch.setattr(RelProgram, "_stratum_sn_eligible",
+                            lambda self, component: False)
+        naive = tc_program(edges).relation("TCr")
         assert sn == naive
 
     def test_nonlinear_recursion(self):
@@ -144,6 +149,17 @@ class TestRecursionWithAggregation:
         ]
 
 
+UP_TO_110 = """
+    def Up(x) : Seed(x)
+    def Up(y) : exists((x) | Up(x) and y = x + 1 and x < 110)
+"""
+
+
+def delta_extents(program):
+    return [name for name in program._state.extents
+            if name.startswith("__delta__")]
+
+
 class TestDivergenceGuards:
     def test_runaway_recursion_raises(self):
         program = RelProgram(options=EngineOptions(max_global_iterations=25))
@@ -156,6 +172,49 @@ class TestDivergenceGuards:
         )
         with pytest.raises(ConvergenceError):
             program.relation("Up")
+        # No partial fixpoint stays installed: a re-read diverges again.
+        with pytest.raises(ConvergenceError):
+            program.relation("Up")
+        assert delta_extents(program) == []
+
+    def test_runaway_insert_maintenance_leaves_no_partial_extent(self):
+        session = connect(options=EngineOptions(max_global_iterations=25))
+        session.define("Seed", [(100,)])
+        session.load(UP_TO_110)
+        assert len(session.relation("Up")) == 11
+        with pytest.raises(ConvergenceError):
+            session.insert("Seed", [(1,)])
+        with pytest.raises(ConvergenceError):
+            session.relation("Up")
+        assert delta_extents(session.program) == []
+
+    @pytest.mark.parametrize("way_out", ["normal", "budget", "convergence"])
+    @pytest.mark.parametrize("phase", ["materialise", "insert", "delete"])
+    def test_no_delta_extent_survives_the_round_loop(self, phase, way_out):
+        program = RelProgram(load_stdlib=False)
+        program.define("Seed", Relation([(100,)]))
+        program.add_source(UP_TO_110)
+        if phase != "materialise":
+            program.relation("Up")
+        if way_out == "convergence":
+            program.options.max_global_iterations = 3
+        run = {
+            "materialise": lambda: program.relation("Up"),
+            "insert": lambda: program.define("Seed", Relation([(1,), (100,)])),
+            "delete": lambda: program.define("Seed", Relation([])),
+        }[phase]
+        budget = EvalBudget(max_iterations=3) if way_out == "budget" else None
+        with budget_mod.scoped(budget):
+            if way_out == "normal":
+                run()
+            else:
+                error = {"budget": QueryBudgetError,
+                         "convergence": ConvergenceError}[way_out]
+                with pytest.raises(error):
+                    run()
+        assert delta_extents(program) == []
+        if way_out == "normal" and phase != "materialise":
+            assert program.maintenance_statistics()["maintained_strata"] == 1
 
 
 class TestRuleOrderIndependence:
