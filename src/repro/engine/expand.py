@@ -2824,16 +2824,6 @@ def _charge_rows(rel: Relation) -> Relation:
     return rel
 
 
-def _eval_rule_keyed(rule: Rule, env: Env, ctx,
-                     demand: Tuple[Tuple[int, Any], ...] = (),
-                     full_arity: Optional[int] = None) -> Dict[Tuple[Any, ...],
-                                                               Tuple[Any, ...]]:
-    got = _eval_rule_result(rule, env, ctx, demand, full_arity)
-    if got is None:
-        return {}
-    return _emit_keyed(*got, ctx)
-
-
 def _eval_rule_result(rule: Rule, env: Env, ctx,
                       demand: Tuple[Tuple[int, Any], ...] = (),
                       full_arity: Optional[int] = None):

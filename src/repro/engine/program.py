@@ -284,11 +284,14 @@ class EvalState:
     def count_eval(self, name: str) -> None:
         self.eval_counts[name] = self.eval_counts.get(name, 0) + 1
 
-    def set_extent(self, name: str, rel: Relation) -> None:
+    def set_extent(self, name: str, rel: Relation) -> bool:
+        """Install ``rel`` and bump the generation iff it is a change."""
         old = self.extents.get(name)
         if old is None or old != rel:
             self.extents[name] = rel
             self.bump_name(name)
+            return True
+        return False
 
     def drop_extent(self, name: str) -> None:
         """Forget a computed extent without bumping its generation: if the
@@ -329,14 +332,6 @@ class EvalState:
         """Record a columnar-kernel hit or fallback (the counters behind
         ``Session.columnar_statistics()``)."""
         self.columnar_stats[event] = self.columnar_stats.get(event, 0) + n
-
-    def clear_indexes(self) -> None:
-        """Drop the atom-index, join-index, and sorted-trie caches (and
-        their relation pins); retained extents re-index lazily on next
-        use."""
-        self._indexes.clear()
-        self._tries.clear()
-        self._atom_indexes.clear()
 
     def drop_indexes_for(self, rels: Iterable[Relation]) -> None:
         """Drop atom-index and sorted-trie entries pinned to exactly the
@@ -1238,7 +1233,7 @@ class RelProgram:
                 self._delta_rounds(
                     materializable, frozenset(materializable),
                     {n: state.extents[n] for n in materializable},
-                    self._grow(state, bump=True), True, "evaluation", ctx)
+                    self._grow(state, True, {}), True, "evaluation", ctx)
             else:
                 self._materialize_kleene(materializable, ctx)
         except BaseException:
@@ -1306,16 +1301,11 @@ class RelProgram:
                     f"iterations"
                 )
             _budget.count_iteration()
-            changed = False
-            new_extents = {}
-            for name in names:
-                new_extents[name] = self._eval_name_once(name, ctx)
-            for name in names:
-                if new_extents[name] != state.extents.get(name):
-                    changed = True
-            for name in names:
-                state.set_extent(name, new_extents[name])
-            if not changed:
+            new_extents = {name: self._eval_name_once(name, ctx)
+                           for name in names}
+            changed = [state.set_extent(name, new_extents[name])
+                       for name in names]  # every member: no short-circuit
+            if not any(changed):
                 return
 
     def _delta_rounds(self, members: List[str], watch: FrozenSet[str],
@@ -1371,17 +1361,36 @@ class RelProgram:
                 state.extents.pop("__delta__" + x, None)
 
     @staticmethod
-    def _grow(state: EvalState, bump: bool):
+    def _grow(state: EvalState, bump: bool, accs: Dict[str, Any]):
         """``absorb`` for materialisation and insert propagation: derived
-        tuples the extent lacks join it and form the next frontier. With
-        ``bump`` every growth moves the member's generation (materialisation
-        keeps generations exact round by round); insert propagation bumps
-        once per stratum, in :meth:`_maintain_component_delta`."""
+        tuples the extent lacks join it and form the next frontier.
+
+        Each member grows through a :class:`repro.model.columns.Accumulator`
+        started from its extent at its first absorb, so a round costs time
+        proportional to the change: the extent after a round is the new
+        prefix view, the same object when nothing was fresh. A member it
+        declines (untypeable rows, a tag change, kernels off) takes Relation
+        difference and union for the rest of the call. ``accs`` collects
+        each member's accumulator (``None`` once declined). With ``bump``
+        every growth moves the member's generation (materialisation keeps
+        generations exact round by round); insert propagation bumps once
+        per stratum, in :meth:`_maintain_component_delta`."""
         def absorb(member: str, derived: Relation) -> Relation:
             extent = state.extents[member]
-            fresh = derived.difference(extent)
+            acc = accs[member] if member in accs else \
+                _columns.Accumulator.start(extent)
+            fresh = acc.absorb(derived) \
+                if acc is not None and acc.view is extent else None
+            if fresh is None:
+                accs[member] = None
+                fresh = derived.difference(extent)
+                grown = extent.union(fresh)
+                _columns.count_plane("accumulate_fallback")
+            else:
+                accs[member], grown = acc, acc.view
+                _columns.count_plane("accumulate")
             if fresh:
-                state.extents[member] = extent.union(fresh)
+                state.extents[member] = grown
                 if bump:
                     state.bump_name(member)
             return fresh
@@ -1625,7 +1634,8 @@ class RelProgram:
                 members, watch, minus_frontier, old_ext, trigger, pre,
                 recursive, ctx)
 
-        grow = self._grow(state, bump=False)
+        accs: Dict[str, Any] = {}
+        grow = self._grow(state, False, accs)
         plus_frontier = {n: pl for n, (pl, _) in trigger.items()
                          if pl and n not in members}
         for m in members:
@@ -1644,8 +1654,13 @@ class RelProgram:
             old = old_ext[m]
             if final is old:
                 continue
-            plus = final.difference(old)
-            minus = old.difference(final)
+            acc = accs.get(m)
+            if acc is not None and acc.origin is old and acc.view is final:
+                # Appends to ``old`` only: the suffix is the net delta.
+                plus, minus = acc.appended(), EMPTY
+            else:
+                plus = final.difference(old)
+                minus = old.difference(final)
             if plus or minus:
                 net[m] = (plus, minus)
                 pre[m] = old

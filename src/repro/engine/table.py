@@ -200,18 +200,6 @@ class Table:
             rows.append(tuple(row[i] for i in keep_idx) + (payload,))
         return Table(new_cols, rows)
 
-    def append_payload_values(self, fn: Callable[[Row], Tuple[Any, ...]]):
-        """Extend each row's payload by ``fn(row)`` (no new rows).
-
-        ``fn`` receives the raw row tuple; resolve column positions once via
-        :meth:`col_index` before the loop instead of materializing a
-        bindings dict per row."""
-        rows: List[Row] = []
-        for row in self.rows:
-            extra = fn(row)
-            rows.append(row[:-1] + (row[-1] + extra,))
-        return Table(self.cols, rows)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         head = ", ".join(self.cols) or "-"
         return f"Table[{head}]({len(self.rows)} rows)"

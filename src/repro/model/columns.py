@@ -558,8 +558,8 @@ def fold_values(op_name: str, values: List[Any]) -> Optional[Any]:
 # ---------------------------------------------------------------------------
 #
 # These kernels back ``Relation.union/difference/intersect/__eq__`` when
-# both sides are column-backed, so the semi-naive frontier difference and
-# DRed's over-delete/re-derive set algebra never materialize row dicts.
+# both sides are column-backed, so DRed's over-delete/re-derive set algebra
+# (and the accumulator's first rounds) never materialize row dicts.
 # Conventions shared by all four:
 #
 # - ``None`` declines (arity mismatch aside, an exact vectorized answer is
@@ -662,6 +662,159 @@ def sets_equal(a: "ColumnSet", b: "ColumnSet") -> Optional[bool]:
         return a.length == 0
     ids_a, ids_b = pair
     return bool(_np.array_equal(_np.sort(ids_a), _np.sort(ids_b)))
+
+
+# ---------------------------------------------------------------------------
+# The append-only accumulator (change-proportional fixpoint growth)
+# ---------------------------------------------------------------------------
+
+
+def _row_hashes(tags: Sequence[str], arrays: Sequence[Any]) -> Any:
+    """A 64-bit hash per row: splitmix64 folded over each column's bits,
+    ``-0.0`` normalised to ``0.0`` so equal values hash equally."""
+    u = _np.uint64
+    h = _np.zeros(len(arrays[0]), dtype=u)
+    for tag, arr in zip(tags, arrays):
+        h ^= (arr + 0.0).view(u) if tag == "float" else arr.astype(u)
+        h = (h ^ (h >> u(30))) * u(0xBF58476D1CE4E5B9)
+        h = (h ^ (h >> u(27))) * u(0x94D049BB133111EB)
+        h ^= h >> u(31)
+    return h
+
+
+def _sorted_run(hashes: Any, positions: Any) -> Tuple[Any, Any]:
+    order = _np.argsort(hashes, kind="stable")
+    return hashes[order], positions[order]
+
+
+def _exact_image(rel: Any) -> Optional["ColumnSet"]:
+    """``rel.columns()`` when the vectors decode to exactly the stored rows:
+    a float column over a dict-backed relation may hold ints (``1`` beside
+    ``2.5``) whose representatives an append must not rewrite."""
+    cs = rel.columns()
+    if cs is not None and rel._rows is not None and "float" in cs.tags:
+        floats = [i for i, tag in enumerate(cs.tags) if tag == "float"]
+        if any(type(row[i]) is not float for row in rel.rows() for i in floats):
+            return None
+    return cs
+
+
+class Accumulator:
+    """An append-only typed relation: a fixpoint member's running extent,
+    grown in time proportional to each change rather than to the whole.
+
+    :meth:`absorb` appends the candidate rows not yet accumulated to
+    per-column buffers (growth by 1.25x) and returns them; :attr:`view` is
+    the accumulated relation, an immutable ``Relation.from_columns`` view
+    of the buffer prefix (``origin``, the starting extent, until the first
+    append). No view ever sees a write: appends land past every handed-out
+    prefix, and the first append (the starting vectors are borrowed exactly
+    full) and every regrowth copy. Membership is :func:`set_difference`
+    against the prefix until those passes have cost twice an index (ski
+    rental), then sorted runs of :func:`_row_hashes` merged while a run is
+    at most twice the next (LSM style): O(candidates · log) amortised. Hash
+    hits are verified on the stored columns, equal hashes by a scan.
+    ``None`` from :meth:`start` or :meth:`absorb` declines — kernels off,
+    rows untypeable or not exactly representable, tags differing from the
+    accumulated ones — and the caller falls back to Relation algebra."""
+
+    __slots__ = ("origin", "view", "tags", "_bufs", "_n", "_runs", "_spent")
+
+    @classmethod
+    def start(cls, extent: Any) -> Optional["Accumulator"]:
+        cs = _exact_image(extent) if KERNELS_AVAILABLE and extent else None
+        if not KERNELS_AVAILABLE or (extent and cs is None):
+            return None
+        acc = cls()
+        acc.origin = acc.view = extent
+        acc._n, acc._runs, acc._spent = len(extent), None, 0
+        acc.tags, acc._bufs = ((cs.tags, tuple(a[:acc._n] for a in cs.arrays))
+                               if cs else (None, ()))
+        return acc
+
+    def _cols(self, lo: int, hi: int) -> "ColumnSet":
+        arrays = tuple(buf[lo:hi] for buf in self._bufs)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return ColumnSet(self.tags, arrays, hi - lo)
+
+    def _view(self, lo: int, hi: int) -> Any:
+        from repro.model.relation import Relation
+        return Relation.from_columns(self._cols(lo, hi))
+
+    def appended(self) -> Any:
+        """Every row appended since :meth:`start`, as a view."""
+        return self._view(len(self.origin), self._n)
+
+    def absorb(self, candidates: Any) -> Any:
+        """The candidate rows not yet accumulated — appended, and returned
+        as a view (``EMPTY`` and an unchanged :attr:`view` when none) — or
+        ``None`` to decline."""
+        from repro.model.relation import EMPTY
+        cs = _exact_image(candidates) if candidates else None
+        if cs is None or self.tags not in (None, cs.tags):
+            return EMPTY if not candidates else None
+        self.tags, n, hashes = cs.tags, self._n, None
+        if not n:
+            fresh = cs.arrays
+        elif self._runs is None and self._spent < 2 * n:
+            self._spent += n + cs.length
+            fresh = set_difference(cs, self._cols(0, n)).arrays
+        else:
+            if self._runs is None:
+                self._runs = [_sorted_run(
+                    _row_hashes(self.tags, self._cols(0, n).arrays),
+                    _np.arange(n))]
+            # Hash order: sorted needles search faster, fresh runs come sorted.
+            hashes = _row_hashes(cs.tags, cs.arrays)
+            order = _np.argsort(hashes, kind="stable")
+            hashes, arrays = hashes[order], [arr[order] for arr in cs.arrays]
+            keep = ~self._found(hashes, arrays)
+            fresh, hashes = tuple(arr[keep] for arr in arrays), hashes[keep]
+        f = len(fresh[0])
+        if not f:
+            return EMPTY
+        cap = len(self._bufs[0]) if self._bufs else 0
+        if n + f > cap:
+            cap = max(n + f, cap + cap // 4)
+            bufs = tuple(_np.empty(cap, dtype=arr.dtype) for arr in fresh)
+            for buf, old in zip(bufs, self._bufs):
+                buf[:n] = old[:n]
+            self._bufs = bufs
+        for buf, arr in zip(self._bufs, fresh):
+            buf[n:n + f] = arr
+        self._n = n + f
+        runs = self._runs
+        if runs is not None:
+            runs.append((hashes, _np.arange(n, n + f)))
+            while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+                (h2, p2), (h1, p1) = runs.pop(), runs.pop()
+                runs.append(_sorted_run(_np.concatenate((h1, h2)),
+                                        _np.concatenate((p1, p2))))
+        self.view = self._view(0, n + f)
+        return self._view(n, n + f)
+
+    def _found(self, hashes: Any, arrays: Sequence[Any]) -> Any:
+        """Mask over candidate rows (``hashes`` sorted): accumulated?"""
+        def same(pos, rows):
+            eq = _np.ones(len(pos), dtype=bool)
+            for buf, arr in zip(self._bufs, arrays):
+                eq &= buf[pos] == arr[rows]
+            return eq
+
+        found = _np.zeros(len(hashes), dtype=bool)
+        for run_h, run_pos in self._runs:
+            last = len(run_h) - 1
+            lo = _np.searchsorted(run_h, hashes)
+            at, nxt = _np.minimum(lo, last), _np.minimum(lo + 1, last)
+            hit = (run_h[at] == hashes) & ~found
+            many = hit & (nxt > at) & (run_h[nxt] == hashes)
+            one = _np.flatnonzero(hit & ~many)
+            found[one] = same(run_pos[at[one]], one)
+            for i in _np.flatnonzero(many):  # equal hashes: exact scan
+                end = _np.searchsorted(run_h, hashes[i], "right")
+                found[i] = same(run_pos[lo[i]:end], i).any()
+        return found
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ maintenance.
 ``row_key → tuple``, the construction default) or *columnar-native*
 (built via :meth:`Relation.from_columns`: ``_rows`` is ``None`` and the
 typed :class:`~repro.model.columns.ColumnSet` in ``_cols`` IS the storage).
-Columnar-native relations are what the fixpoint drivers produce — derived
-extents stay as vectors across semi-naive iterations and DRed passes, with
-``union``/``difference``/``intersect``/``__eq__`` routed through the
+Columnar-native relations are what the fixpoint drivers produce: a growing
+extent is a prefix view of an append-only columns ``Accumulator``, and
+DRed's ``union``/``difference``/``intersect``/``__eq__`` route through the
 vectorized set kernels when both sides are column-backed. The keyed dict is
 built lazily, only when something genuinely needs per-row keys (point
 lookups, ``__contains__``, ``select``): every method funnels through
@@ -205,8 +205,8 @@ class Relation:
         if mine is not None and theirs is not None:
             return mine.keys() == theirs.keys()
         # At least one side is columnar-native: decide on the vectors when
-        # possible (the semi-naive driver's set_extent equality check runs
-        # here every iteration).
+        # possible (Kleene iteration's set_extent equality check runs here
+        # every round).
         if len(self) != len(other):
             return False
         ca, cb = self.columns(), other.columns()
