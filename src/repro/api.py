@@ -349,7 +349,6 @@ class Session:
             # invalidation each.
             for name, rel in recovered.base.items():
                 self.database.install(name, rel)
-        self._load_stdlib = load_stdlib
         # The session owns a private copy of its options: a caller-supplied
         # object may be shared with other sessions/programs and must not be
         # affected by this session's knobs (join_strategy here or via the
@@ -838,26 +837,21 @@ class Session:
         Control relations drive it: ``output`` is returned, ``insert`` /
         ``delete`` requests are applied atomically unless an integrity
         constraint is violated, in which case nothing changes — including
-        the session's computed extents."""
+        the session's computed extents.
+
+        The transaction evaluates and checks on a private fork of the warm
+        session program (see :mod:`repro.db.transaction`); a commit logs
+        first, then installs and maintains in one batch, like
+        :meth:`apply_batch`."""
         with self._lock:
             self._check_storage()
-            txn = Transaction(
-                self.database,
-                options=self.program.options,
-                load_stdlib=self._load_stdlib,
-                extra_rules=self.program,
-            )
-            result = txn.execute(source)
+            result = Transaction(self.database, program=self.program,
+                                 journal=self._log_changed).execute(source)
             if result.committed and result.changed:
-                # One batched maintenance pass over the committed deltas:
-                # the same incremental path as Session.insert/delete. The
-                # snapshot republish happens only here, after the batch —
-                # concurrent readers see the pre- or post-transaction
+                # The snapshot republish happens only here, after the
+                # batch: concurrent readers see the pre- or post-transaction
                 # state, never a half-applied one. Aborted transactions
                 # (constraint violations) log nothing.
-                with _budget.scoped(None):
-                    self.program.apply_updates(result.changed)
-                self._log_changed(result.changed)
                 self._mutated()
                 self._maybe_checkpoint()
             return result

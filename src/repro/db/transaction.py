@@ -11,9 +11,18 @@ Section 3.5).
 (``:Name``) in their first column; targets need not exist beforehand —
 "if ClosedOrders does not exist, it will be created on the spot".
 
-Concurrency: a transaction evaluates in its own throwaway
-:class:`RelProgram` (thread-confined) and mutates the shared database only
-at commit. The session layer runs the whole execute-check-commit sequence
+Evaluation: a transaction runs on a :meth:`~RelProgram.fork` of the live
+program over the database — the session's own program, or one built on the
+database for a standalone :class:`Transaction`. The fork shares the warm
+extents, plans and indexes read-only; only the transaction source is
+parsed, and only what it adds or changes is evaluated. Constraints are
+checked on the same fork after the net changes are applied to it. Abort is
+dropping the fork: the live program, its caches and its counters were never
+touched. Commit journals the net changes, installs them into the database
+and applies them to the live program in one maintenance pass.
+
+Concurrency: the fork is thread-confined and the database changes only at
+commit. The session layer runs the whole execute-check-commit sequence
 under its write lock and publishes the post-state as one snapshot, so
 concurrent snapshot readers see a committed transaction's effects all at
 once or not at all (atomicity, Section 3.4/3.5).
@@ -22,9 +31,10 @@ once or not at all (atomicity, Section 3.4/3.5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.db.database import Database
+from repro.engine import budget as _budget
 from repro.engine.errors import EvaluationError
 from repro.engine.expand import eval_rule
 from repro.engine.program import EngineOptions, RelProgram
@@ -37,6 +47,10 @@ from repro.model.values import Symbol
 #: The reserved control relation names of Section 3.4.
 CONTROL_RELATIONS = frozenset({"output", "insert", "delete"})
 
+#: ``name → (old, new)`` per base relation a commit changes (``old`` is
+#: ``None`` for a relation the transaction creates).
+Changes = Dict[str, Tuple[Optional[Relation], Relation]]
+
 
 @dataclass
 class TransactionResult:
@@ -44,8 +58,8 @@ class TransactionResult:
 
     ``changed`` records, per base relation the commit actually touched, the
     ``(old, new)`` pair (``old`` is ``None`` for relations created by the
-    transaction) — the session layer feeds it to the engine's incremental
-    maintenance in one batch instead of re-deriving per-name deltas."""
+    transaction) — the batch the commit fed to the engine's incremental
+    maintenance and to the journal."""
 
     committed: bool
     output: Relation
@@ -53,8 +67,7 @@ class TransactionResult:
     deleted: Dict[str, Relation] = field(default_factory=dict)
     violations: Dict[str, Relation] = field(default_factory=dict)
     aborted_by: Optional[str] = None
-    changed: Dict[str, Tuple[Optional[Relation], Relation]] = \
-        field(default_factory=dict)
+    changed: Changes = field(default_factory=dict)
 
 
 class Transaction:
@@ -70,13 +83,19 @@ class Transaction:
     def __init__(self, database: Database,
                  options: Optional[EngineOptions] = None,
                  load_stdlib: bool = True,
-                 extra_rules: Optional[RelProgram] = None) -> None:
+                 program: Optional[RelProgram] = None,
+                 journal: Optional[Callable[[Changes], None]] = None) -> None:
         self.database = database
         self.options = options
         self.load_stdlib = load_stdlib
-        #: A program whose rules and constraints are in scope for every
-        #: transaction (the session layer passes its catalog here).
-        self.extra_rules = extra_rules
+        #: The live program over ``database`` whose rules, constraints and
+        #: warm state are in scope (the session layer passes its own);
+        #: ``None`` builds one on ``database`` per execution.
+        self.program = program
+        #: Called with the net changes before anything is installed (the
+        #: session's write-ahead log append): if it raises, the database
+        #: and the program stay untouched.
+        self.journal = journal
 
     def execute(self, source: str) -> TransactionResult:
         """Run a Rel program; commit its effects unless a constraint fails.
@@ -85,61 +104,56 @@ class Transaction:
         state; ``insert``/``delete`` requests are computed, constraints are
         checked on the *post-state*, and only then is the database mutated.
         """
-        program = RelProgram(
-            database=self.database.as_mapping(),
-            load_stdlib=self.load_stdlib,
-            options=self.options,
-        )
-        if self.extra_rules is not None:
-            program.merge_rules_from(self.extra_rules)
-        program.add_source(source)
-        program.evaluate()
+        program = self.program
+        if program is None:
+            program = RelProgram(database=self.database.as_mapping(),
+                                 load_stdlib=self.load_stdlib,
+                                 options=self.options)
+        fork = program.fork()
+        fork.add_source(source)
+        output, inserted, deleted = (
+            fork.relation(name) if name in fork.closures else EMPTY
+            for name in ("output", "insert", "delete"))
+        inserted = _split_by_target(inserted)
+        deleted = _split_by_target(deleted)
 
-        output = (program.relation("output")
-                  if "output" in program.closures else EMPTY)
-        inserted = _split_by_target(
-            program.relation("insert") if "insert" in program.closures else EMPTY
-        )
-        deleted = _split_by_target(
-            program.relation("delete") if "delete" in program.closures else EMPTY
-        )
-
-        # Build the tentative post-state.
+        # The tentative post-state, and the net changes it makes.
         post = self.database.copy()
         for name, tuples in deleted.items():
             post.delete(name, tuples)
         for name, tuples in inserted.items():
             post.insert(name, tuples)
+        changed: Changes = {
+            name: (self.database.get(name, None), post[name])
+            for name in sorted(set(inserted) | set(deleted))
+            if post[name] != self.database[name]}
 
         # Check integrity constraints against the post-state (Section 3.5:
         # "If a transaction violates a constraint, it is aborted").
-        violations = check_constraints(program, post)
-        failed = {name: rel for name, rel in violations.items() if rel}
+        failed: Dict[str, Relation] = {}
+        if fork.constraints:
+            fork.apply_updates(changed)
+            failed = {name: rel for name, rel
+                      in check_constraints(fork, post).items() if rel}
         if failed:
-            name = sorted(failed)[0]
             return TransactionResult(
                 committed=False,
                 output=output,
                 inserted=inserted,
                 deleted=deleted,
                 violations=failed,
-                aborted_by=name,
+                aborted_by=sorted(failed)[0],
             )
 
-        # Commit. The touched relations' (old, new) pairs are recorded so
-        # the session layer can maintain its materialized extents
-        # incrementally from the exact committed deltas.
-        changed: Dict[str, Tuple[Optional[Relation], Relation]] = {}
-        for name in set(inserted) | set(deleted):
-            old = self.database.get(name) if name in self.database else None
-            new = post.get(name, EMPTY)
-            if old is None or old != new:
-                changed[name] = (old, new)
-        for name, rel in post.as_mapping().items():
-            self.database.install(name, rel)
-        for name in self.database.names():
-            if name not in post:
-                self.database.drop(name)
+        # Commit: journal first, so a failed append leaves memory in step
+        # with the log; then one maintenance pass on the live program.
+        if changed:
+            if self.journal is not None:
+                self.journal(changed)
+            for name, (_, new) in changed.items():
+                self.database.install(name, new)
+            with _budget.scoped(None):
+                program.apply_updates(changed)
         return TransactionResult(
             committed=True,
             output=output,
@@ -163,25 +177,28 @@ def _split_by_target(requests: Relation) -> Dict[str, Relation]:
 
 def check_constraints(program: RelProgram,
                       database: Database) -> Dict[str, Relation]:
-    """Evaluate every ``ic`` against a database state.
+    """Evaluate every ``ic`` of ``program`` against a database state.
 
     Returns, per constraint, the relation of violations: for parameterless
     constraints ``{()}`` means *violated* (the requirement does not hold);
     for parameterized constraints the violating valuations are returned
     (Section 3.5: "integrity_quantities will be populated with the values x
     that violate the constraint").
-    """
-    checker = RelProgram(
-        database=database.as_mapping(),
-        options=program.options if program else None,
-    )
-    # Re-install the program's derived rules so constraints can use them.
-    if program is not None:
-        checker.merge_rules_from(program)
-    checker.evaluate()
 
+    The constraints run on ``program``'s own evaluation state when its base
+    relations already are ``database``'s (a transaction's fork after its
+    updates); otherwise on a fork of ``program`` brought to ``database`` by
+    one :meth:`~RelProgram.apply_updates`, leaving ``program`` unchanged.
+    """
+    constraints = program.constraints
+    if constraints:
+        base = program.durable_state()
+        stale = {name: (base.get(name), rel) for name, rel in database.items()
+                 if not (base.get(name) is rel or base.get(name) == rel)}
+        if stale:
+            program = program.fork()
+            program.apply_updates(stale)
     results: Dict[str, Relation] = {}
-    constraints = program.constraints if program else []
     for ic in constraints:
         # The violation relation is the *negation* of the requirement,
         # pushed to negation normal form so the positive guard of
@@ -194,9 +211,8 @@ def check_constraints(program: RelProgram,
             formula_head=True,
             pos=ic.pos,
         ))
-        ctx = checker._context()
         try:
-            facts = eval_rule(rule, Env.EMPTY, ctx)
+            facts = eval_rule(rule, Env.EMPTY, program._context())
         except Exception as exc:  # surface with constraint context
             raise EvaluationError(
                 f"integrity constraint {ic.name!r} could not be evaluated: {exc}"

@@ -888,38 +888,6 @@ class RelProgram:
                 or name in self._all_rule_refs():
             self._invalidate()
 
-    def merge_rules_from(self, other: "RelProgram") -> None:
-        """Adopt another program's compiled rules and constraints (used by
-        the transaction layer to re-check constraints against a post-state).
-
-        Deduplication is a seen-set membership test on the compiled rules
-        (hashable frozen dataclasses), not a linear scan per rule.
-        Containers are replaced copy-on-write (see :meth:`_ingest`)."""
-        changed: Set[str] = set()
-        merged = dict(self._rules)
-        for name, rules in other._rules.items():
-            mine = merged.get(name, ())
-            seen = set(mine)
-            fresh = []
-            for rule in rules:
-                if rule not in seen:
-                    fresh.append(rule)
-                    seen.add(rule)
-            if fresh:
-                merged[name] = list(mine) + fresh
-                changed.add(name)
-        seen_ics = set(self._constraints)
-        new_ics = []
-        for ic in other._constraints:
-            if ic not in seen_ics:
-                new_ics.append(ic)
-                seen_ics.add(ic)
-        if new_ics:
-            self._constraints = self._constraints + new_ics
-        if changed:
-            self._rules = merged
-            self._invalidate_rules(changed)
-
     def base_relation(self, name: str) -> Optional[Relation]:
         return self._base.get(name)
 
@@ -1841,14 +1809,26 @@ class RelProgram:
         snapshots atomically between transactions."""
         from repro.engine.snapshot import ProgramSnapshot
 
-        # Force the cheap static analyses now, so readers share completed
-        # results instead of racing to rebuild them per snapshot.
+        return self._capture(ProgramSnapshot)
+
+    def fork(self) -> "RelProgram":
+        """A private, writable capture of the program's current state: like
+        :meth:`snapshot`, but ``add_source`` and ``apply_updates`` work on
+        it without touching this program (see
+        :class:`repro.engine.snapshot.ProgramFork`)."""
+        from repro.engine.snapshot import ProgramFork
+
+        return self._capture(ProgramFork)
+
+    def _capture(self, view):
+        # Force the cheap static analyses now, so views share completed
+        # results instead of racing to rebuild them per capture.
         self._context()
         if self._strata is None:
             self._strata = self._compute_strata()
         if self._materialized is None:
             self._classify()
-        return ProgramSnapshot(self)
+        return view(self)
 
     # -- querying ---------------------------------------------------------------
 

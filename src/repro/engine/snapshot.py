@@ -32,6 +32,11 @@ the snapshot's private lock; after that the read path takes no locks at
 all. Writers never take a snapshot lock, so readers never block writers
 and writers never block readers — the serialization point is only between
 writers, in the session layer (:class:`repro.api.Session`).
+
+A :class:`ProgramFork` is the same capture with the mutators left on: a
+transaction adds its rules and applies its updates to the fork, whose
+writes all land in the overlays, then either applies its net changes to
+the live program or drops the fork.
 """
 
 from __future__ import annotations
@@ -161,7 +166,7 @@ class SnapshotContext(EvalContext):
     per-thread (the result cache is snapshot-private and shared across the
     snapshot's readers — all of them see the same frozen rules)."""
 
-    def __init__(self, program: "ProgramSnapshot", state: SnapshotState,
+    def __init__(self, program: "_CapturedProgram", state: SnapshotState,
                  options, orderable_cache: Dict[Tuple[Any, ...], bool]) -> None:
         self.program = program
         self.state = state
@@ -180,17 +185,12 @@ class SnapshotContext(EvalContext):
         return value
 
 
-class ProgramSnapshot(RelProgram):
-    """A frozen :class:`RelProgram` view: evaluates, never mutates.
-
-    Built by :meth:`RelProgram.snapshot`. Queries, relation lookups, and
-    statistics work exactly as on a live program — against the captured
-    state — and any number of threads may use one snapshot concurrently.
-    All mutators raise :class:`SnapshotWriteError`.
-    """
+class _CapturedProgram(RelProgram):
+    """A :class:`RelProgram` adopting a parent's state copy-on-write: the
+    capture :class:`ProgramSnapshot` and :class:`ProgramFork` share."""
 
     def __init__(self, parent: RelProgram) -> None:
-        # Deliberately no super().__init__: a snapshot adopts the parent's
+        # Deliberately no super().__init__: the view adopts the parent's
         # containers. Every RelProgram mutator rebinds fresh containers
         # (copy-on-write), so these references stay frozen even while the
         # parent keeps evolving.
@@ -216,6 +216,33 @@ class ProgramSnapshot(RelProgram):
         self._ctx = SnapshotContext(self, self._state, self.options,
                                     parent._ctx._orderable_cache)
         self._evaluating = False
+
+
+class ProgramFork(_CapturedProgram):
+    """A private, writable copy of a live program: the transaction layer's
+    scratch state (Section 3.4/3.5).
+
+    Built by :meth:`RelProgram.fork`. It captures and shares exactly what a
+    :class:`ProgramSnapshot` does, but keeps every :class:`RelProgram`
+    mutator: :meth:`add_source` and :meth:`apply_updates` rebind the fork's
+    own containers, and its :class:`SnapshotState` keeps extents,
+    generations, counters and cache writes in private overlays. So the
+    parent never observes the fork, and dropping the fork is the whole
+    rollback. Confined to one thread, and valid only while the parent does
+    not move (the session's write lock covers both)."""
+
+
+class ProgramSnapshot(_CapturedProgram):
+    """A frozen :class:`RelProgram` view: evaluates, never mutates.
+
+    Built by :meth:`RelProgram.snapshot`. Queries, relation lookups, and
+    statistics work exactly as on a live program — against the captured
+    state — and any number of threads may use one snapshot concurrently.
+    All mutators raise :class:`SnapshotWriteError`.
+    """
+
+    def __init__(self, parent: RelProgram) -> None:
+        super().__init__(parent)
         self._warm = False
         self._warm_lock = threading.RLock()
 
@@ -286,9 +313,6 @@ class ProgramSnapshot(RelProgram):
 
     def apply_updates(self, updates) -> None:
         raise self._frozen("apply updates")
-
-    def merge_rules_from(self, other: RelProgram) -> None:
-        raise self._frozen("merge rules")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ProgramSnapshot({len(self._base)} base relations, "

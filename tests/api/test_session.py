@@ -171,6 +171,17 @@ class TestTransactions:
         assert session.relation("E") == Relation([(2, 3), (3, 4)])
         assert (1, 2) not in session.execute("Path")
 
+    def test_constraints_checked_without_stdlib_when_none_loaded(self):
+        """A user ``vector`` must not meet the standard library's rules of
+        the same name while a load_stdlib=False session checks its ICs."""
+        s = connect({"V": [(2, 1, 5)]}, load_stdlib=False)
+        s.load("def vector(d, i, v) : V(d, i, v)")
+        s.load("ic small(d, i, v) requires vector(d, i, v) implies v < 10")
+        result = s.transact(
+            "def insert(:V, d, i, v) : d = 3 and i = 1 and v = 7")
+        assert result.committed
+        assert s.relation("V") == Relation([(2, 1, 5), (3, 1, 7)])
+
 
 class TestIntrospection:
     def test_names_mixes_base_and_derived(self, session):

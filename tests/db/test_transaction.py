@@ -187,19 +187,3 @@ class TestPaperClosedOrders:
         assert db["ClosedOrders"] == Relation([("O2",)])
         assert ("O2", "P1", 1) not in db["OrderProductQuantity"]
         assert ("O1", "P1", 2) in db["OrderProductQuantity"]
-
-
-def test_merge_rules_from_dedupes_constraints_within_source():
-    """Copy-on-write merge keeps the PR-1 seen-set semantics: a source
-    program carrying the same IC twice merges as one copy (a duplicate
-    would be constraint-checked twice per transaction forever)."""
-    from repro import RelProgram
-
-    source = RelProgram(load_stdlib=False)
-    source.add_source("ic Small(x) requires P(x) implies x < 10")
-    source._constraints.append(source._constraints[0])
-    target = RelProgram(load_stdlib=False)
-    target.merge_rules_from(source)
-    assert len(target._constraints) == 1
-    target.merge_rules_from(source)  # idempotent across repeat merges too
-    assert len(target._constraints) == 1

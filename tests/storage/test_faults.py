@@ -160,6 +160,25 @@ def test_exhausted_retries_surface_and_leave_state_consistent(tmp_path):
     reopened.close()
 
 
+def test_failed_transaction_append_leaves_memory_as_a_reopen_sees_it(tmp_path):
+    """A transaction logs before it installs, like insert/delete: when the
+    append fails, memory must not keep rows that a reopen would lose."""
+    session = connect(path=tmp_path / "db", load_stdlib=False)
+    session.insert("Acct", [("a", 1)])
+    inj = FaultInjector().fail("write", err=errno.ENOSPC, times=50)
+    with faults.injected(inj):
+        with pytest.raises(OSError):
+            session.transact('def insert(:Acct, t, n) : t = "c" and n = 2')
+    assert session.database["Acct"] == session.relation("Acct")
+    session.transact('def insert(:Acct, t, n) : t = "d" and n = 3')
+    in_memory = session.relation("Acct")
+    session.close()
+    reopened = connect(path=tmp_path / "db", load_stdlib=False)
+    assert reopened.relation("Acct") == in_memory == \
+        Relation([("a", 1), ("d", 3)])
+    reopened.close()
+
+
 def test_broken_segment_refuses_further_appends(tmp_path):
     """If even the rollback truncate fails, the writer goes into a broken
     state instead of silently burying a committed record."""
