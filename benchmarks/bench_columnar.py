@@ -11,28 +11,19 @@ driver-bound workloads (the deep chain: hundreds of tiny iterations)
 the plane is allowed to merely break even — asserted as ≥0.8x so a
 constant-factor regression still fails.
 
-The second gate is the storage plane: checkpointing a 100k-row typed
-relation as contiguous per-column blocks must beat the PR-6 row codec
-by ≥2x for write + reopen combined.
-
-PR 8 adds one more gate: checkpoint *write* of a string-heavy 100k-row
-relation must gain ≥1.3x from the shared-interner string tables (A/B via
-``codec.INTERN_TABLES``): the block stores each distinct string once and
-the columns as small integer codes read straight out of the interned
-vectors.
+The checkpoint codec used to carry two A/B gates here (columnar blocks
+vs. row lists, string tables vs. inline strings). Their module switches
+are gone: the codec writes only its newest format, and
+``tests/storage/test_columnar_codec.py`` keeps every older format
+decoding.
 """
 
-import shutil
-import tempfile
 import time
-from pathlib import Path
 
 import pytest
 
 import repro
 from repro.model import columns
-from repro.model.relation import Relation
-from repro.storage import codec
 from repro.workloads import chain_graph
 
 kernels = pytest.mark.skipif(
@@ -118,92 +109,6 @@ def test_shape_columnar_breaks_even_on_chain_tc():
     assert r_on == r_off
     assert t_off > 0.8 * t_on, (
         f"columnar regressed the chain TC: off={t_off:.3f}s auto={t_on:.3f}s"
-    )
-
-
-CHECKPOINT_ROWS = [(i, float(i) * 0.5, f"s{i % 1000}") for i in range(100_000)]
-
-
-def checkpoint_cycle(root, columnar):
-    """Write a 100k-row typed relation through define + checkpoint, then
-    reopen it; returns (write_s, reopen_s). ``columnar`` forces the codec
-    format the way ``codec.COLUMNAR_BLOCKS`` documents."""
-    codec.COLUMNAR_BLOCKS = columnar
-    try:
-        t0 = time.perf_counter()
-        session = repro.connect(path=root, load_stdlib=False)
-        session.define("R", CHECKPOINT_ROWS)
-        session.checkpoint()
-        session.close()
-        t_write = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        session = repro.connect(path=root, load_stdlib=False)
-        n = len(session.relation("R"))
-        session.close()
-        t_reopen = time.perf_counter() - t0
-        assert n == len(CHECKPOINT_ROWS)
-        return t_write, t_reopen
-    finally:
-        codec.COLUMNAR_BLOCKS = None
-
-
-@kernels
-def test_shape_columnar_checkpoint_speedup(tmp_path):
-    """Acceptance gate: columnar blocks ≥2x the row codec for checkpoint
-    write + reopen of a 100k-row typed relation."""
-    w_row, o_row = checkpoint_cycle(tmp_path / "row", columnar=False)
-    w_col, o_col = checkpoint_cycle(tmp_path / "col", columnar=True)
-    t_row, t_col = w_row + o_row, w_col + o_col
-    assert t_row > 2.0 * t_col, (
-        f"expected columnar checkpoint ≥2x, got row={t_row:.3f}s "
-        f"(write {w_row:.3f} + reopen {o_row:.3f}) vs "
-        f"columnar={t_col:.3f}s (write {w_col:.3f} + reopen {o_col:.3f})"
-    )
-
-
-STRING_HEAVY_ROWS = [
-    (i,
-     f"https://example.com/api/v2/orgs/{i % 800:04d}/projects/main/artifacts",
-     f"deploy/region-us-east-1/cluster-{i % 300:03d}/service-frontend",
-     f"checksum-sha256:{'ab' * 16}{i % 100:02d}")
-    for i in range(100_000)
-]
-
-
-def interned_checkpoint_write(root, intern):
-    """Checkpoint a string-heavy 100k-row relation with the string-table
-    format forced on/off; returns just the ``checkpoint()`` seconds (the
-    gate is about the write, so define-time relation construction stays
-    outside the clock)."""
-    codec.INTERN_TABLES = intern
-    try:
-        session = repro.connect(path=root, load_stdlib=False)
-        session.define("S", STRING_HEAVY_ROWS)
-        t0 = time.perf_counter()
-        session.checkpoint()
-        elapsed = time.perf_counter() - t0
-        session.close()
-        return elapsed
-    finally:
-        codec.INTERN_TABLES = None
-
-
-@kernels
-def test_shape_interned_checkpoint_write(tmp_path):
-    """PR-8 acceptance gate: per-block string tables sharing the
-    process-wide interner gain ≥1.3x on checkpoint write of a
-    string-heavy 100k-row relation (and the reopened relation matches)."""
-    t_inline = min(interned_checkpoint_write(tmp_path / f"inline{i}", False)
-                   for i in range(2))
-    t_interned = min(interned_checkpoint_write(tmp_path / f"interned{i}", True)
-                     for i in range(2))
-    session = repro.connect(path=tmp_path / "interned0", load_stdlib=False)
-    assert session.relation("S") == Relation(STRING_HEAVY_ROWS)
-    session.close()
-    assert t_inline > 1.3 * t_interned, (
-        f"expected interned string tables ≥1.3x on checkpoint write, got "
-        f"inline={t_inline:.3f}s interned={t_interned:.3f}s "
-        f"({t_inline / t_interned:.2f}x)"
     )
 
 

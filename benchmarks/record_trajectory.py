@@ -33,12 +33,6 @@ gate. Gates recorded:
 - ``columnar_hub_tc``           — PR 7: columnar data plane vs. the
   interpreted row plane on hub-graph transitive closure at 10x the B1
   sizes (floor 3x);
-- ``columnar_checkpoint``       — PR 7: per-column checkpoint blocks vs.
-  the PR-6 row codec, write + reopen of a 100k-row typed relation
-  (floor 2x);
-- ``interned_checkpoint``       — PR 8: per-block string tables sharing
-  the process-wide interner vs. inline strings, checkpoint write of a
-  string-heavy 100k-row relation (floor 1.3x);
 - ``budget_overhead``           — PR 9: the hub TC evaluated under a
   generous-but-armed EvalBudget vs. unbudgeted — resource governance is
   an *overhead* gate, so the floor is 0.95x (at most ~5% cost for the
@@ -192,10 +186,7 @@ def storage_gates():
 
 
 def columnar_gates():
-    import tempfile
-
-    from bench_columnar import (HUB300, best_of, checkpoint_cycle,
-                                interned_checkpoint_write, tc_closure)
+    from bench_columnar import HUB300, best_of, tc_closure
     from repro.model import columns
 
     if not columns.KERNELS_AVAILABLE:
@@ -206,20 +197,7 @@ def columnar_gates():
     tc = gate("columnar_hub_tc", t_off, t_on, 3.0,
               {"closure_rows": len(r_on),
                "columnar_statistics": session_on.columnar_statistics()})
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        w_row, o_row = checkpoint_cycle(root / "row", columnar=False)
-        w_col, o_col = checkpoint_cycle(root / "col", columnar=True)
-        t_inline = interned_checkpoint_write(root / "inline", False)
-        t_interned = interned_checkpoint_write(root / "interned", True)
-    ckpt = gate("columnar_checkpoint", w_row + o_row, w_col + o_col, 2.0,
-                {"rows": 100_000,
-                 "row_write_s": round(w_row, 4),
-                 "columnar_write_s": round(w_col, 4)})
-    interned = gate("interned_checkpoint", t_inline, t_interned, 1.3,
-                    {"rows": 100_000,
-                     "interner": columns.interner_statistics()})
-    return [tc, ckpt, interned]
+    return [tc]
 
 
 def robustness_gate():

@@ -32,6 +32,7 @@ access; see README.md for the migration table.
 """
 
 from repro.engine import (
+    ConstraintViolation,
     ConvergenceError,
     DispatchError,
     EvalBudget,
@@ -53,6 +54,7 @@ __version__ = "1.1.0"
 
 __all__ = [
     "AdmissionError",
+    "ConstraintViolation",
     "ConvergenceError",
     "DispatchError",
     "Entity",

@@ -18,8 +18,13 @@ Separation of *definition* from *execution* is the core design:
   next execution, everything else keeps its extents and instance memos;
 - :meth:`Session.transact` routes through the control-relation
   transaction semantics of Section 3.4 (``output`` / ``insert`` /
-  ``delete``, constraint-checked, atomic), with the session's rules and
-  integrity constraints in scope.
+  ``delete``), with the session's rules and integrity constraints in
+  scope;
+- every write — those above, :meth:`~Session.load`,
+  :meth:`~Session.apply_batch`, :meth:`~Session.bulk_load` — is a
+  transaction in the paper's sense (Sections 3.4–3.5) and ends in one
+  commit step: a write that breaks an ``ic`` raises
+  :class:`~repro.engine.errors.ConstraintViolation` and changes nothing.
 
 Quickstart::
 
@@ -42,13 +47,16 @@ from __future__ import annotations
 import dataclasses
 import threading
 from pathlib import Path
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple, Union)
 
 from repro.db.database import Database
-from repro.db.transaction import Transaction, TransactionResult
+from repro.db.gnf import check_gnf
+from repro.db.transaction import (Changes, Transaction, TransactionResult,
+                                  check_constraints)
 from repro.engine import budget as _budget
 from repro.engine.budget import EvalBudget
+from repro.engine.errors import ConstraintViolation
 from repro.engine.program import EngineOptions, RelProgram
 from repro.lang import ast, parse_expression, parse_program
 from repro.model import columns as _columns
@@ -321,7 +329,7 @@ class Session:
         self._server_admission = admission
         self._server_admission_timeout = admission_timeout
         self._close_started = False
-        # Source texts in load order: with storage attached this is the
+        # Source texts in load order, kept with storage attached: the
         # checkpointable half of the logical state (the other half is the
         # base extents) and the dedup key that makes
         # connect(path=..., schema=...) idempotent across reopens.
@@ -381,49 +389,30 @@ class Session:
     def load(self, source: str) -> "Session":
         """Add Rel declarations (``def`` rules and ``ic`` constraints).
 
-        Only the strata depending on the (re)defined names are dirtied.
-        On a durable session, a source text already loaded (this session
-        or a recovered one) is skipped — that is what lets callers pass
-        the same ``schema=`` to every ``connect(path=...)`` without
+        Only the strata depending on the (re)defined names are dirtied. A
+        source under which some constraint fails on the current data
+        raises :class:`ConstraintViolation` and is neither logged nor
+        added. On a durable session, a source text already loaded (this
+        session or a recovered one) is skipped — that is what lets callers
+        pass the same ``schema=`` to every ``connect(path=...)`` without
         duplicating rules on each reopen."""
         with self._lock:
-            self._check_storage()
-            if self._storage is not None and source in self._sources:
-                return self
-            # Parse before logging (syntax errors must leave no WAL
-            # record), log before ingesting (a failed append must leave
-            # the in-memory catalog in step with the durable log).
-            parsed = parse_program(source)
-            if self._storage is not None:
+            parsed = None
+            if self._storage is None or source not in self._sources:
+                parsed = parse_program(source)
+
+            def log(_: Changes) -> None:
                 self._storage.log_load(source)
-            with _budget.scoped(None):
-                self.program._ingest(parsed)
-            self._sources.append(source)
-            self._mutated()
-            self._maybe_checkpoint()
+                self._sources.append(source)
+
+            self._commit({}, log=log, parsed=parsed)
         return self
 
     def define(self, name: str, relation: RelationLike) -> "Session":
         """Install or replace a base relation (GNF-checked if enforced)."""
         rel = _as_relation(relation)
         with self._lock:
-            self._check_storage()
-            old = self.database[name] if name in self.database else None
-            # A value-unchanged define is a no-op like insert/delete: no
-            # version bump, no snapshot republish, no WAL record.
-            changed = old is None or not (old is rel or old == rel)
-            if changed:
-                # Log before applying: a failed WAL append must leave the
-                # in-memory state in step with the durable log (the GNF
-                # gate runs first so a rejected value logs nothing).
-                self._precheck_gnf(name, rel)
-                self._log_changed({name: (old, rel)})
-            self.database.install(name, rel)
-            with _budget.scoped(None):
-                self.program.define(name, rel)
-            if changed:
-                self._mutated()
-                self._maybe_checkpoint()
+            self._commit(self._changes({name: rel}))
         return self
 
     def insert(self, name: str, tuples: RelationLike) -> "Session":
@@ -435,27 +424,8 @@ class Session:
         fully-duplicate delta is a true no-op: nothing is re-evaluated."""
         delta = _as_relation(tuples)
         with self._lock:
-            self._check_storage()
-            if name not in self.database:
-                self._precheck_gnf(name, delta)
-                self._log_changed({name: (None, delta)})
-                self.database.install(name, delta)
-                with _budget.scoped(None):
-                    self.program.define(name, delta)
-                self._mutated()
-                self._maybe_checkpoint()
-                return self
-            old = self.database[name]
-            new = old.union(delta)
-            if new is old:
-                return self
-            self._precheck_gnf(name, new)
-            self._log_changed({name: (old, new)})
-            self.database.install(name, new)
-            with _budget.scoped(None):
-                self.program.define(name, new)
-            self._mutated()
-            self._maybe_checkpoint()
+            self._commit(self._changes(
+                {name: self.database[name].union(delta)}))
         return self
 
     def delete(self, name: str, tuples: RelationLike) -> "Session":
@@ -464,24 +434,12 @@ class Session:
         missing relation, or a delta that hits nothing, is a true no-op."""
         delta = _as_relation(tuples)
         with self._lock:
-            self._check_storage()
-            if name not in self.database:
-                return self
-            old = self.database[name]
-            new = old.difference(delta)
-            if new is old:
-                return self
-            self._log_changed({name: (old, new)})
-            self.database.install(name, new)
-            with _budget.scoped(None):
-                self.program.define(name, new)
-            self._mutated()
-            self._maybe_checkpoint()
+            updates = ({name: self.database[name].difference(delta)}
+                       if name in self.database else {})
+            self._commit(self._changes(updates))
         return self
 
-    def apply_batch(
-        self, updates: Mapping[str, RelationLike],
-    ) -> Dict[str, Tuple[Optional[Relation], Relation]]:
+    def apply_batch(self, updates: Mapping[str, RelationLike]) -> Changes:
         """Replace several base relations in one atomic batch.
 
         ``updates`` maps names to their complete new contents. The batch
@@ -491,38 +449,82 @@ class Session:
         ``name → (old, new)`` deltas (value-unchanged names are skipped).
         This is the coalescing entry point of the query server's write
         queue."""
-        # Convert and GNF-validate everything before touching any state: a
-        # bad value must fail the whole batch, not leave a prefix
-        # installed (install() itself is the GNF gate, so pre-check here).
         converted = {name: _as_relation(value)
                      for name, value in updates.items()}
-        if self.database.enforce_gnf:
-            from repro.db.gnf import check_gnf
-
-            for name, new in converted.items():
-                check_gnf(name, new)
         with self._lock:
-            self._check_storage()
-            changed: Dict[str, Tuple[Optional[Relation], Relation]] = {}
-            for name, new in converted.items():
-                old = self.database[name] if name in self.database else None
-                if old is not None and (old is new or old == new):
-                    continue
-                changed[name] = (old, new)
-            if changed:
-                # One WAL record per committed batch, appended *before*
-                # anything is installed: a server write burst that
-                # coalesced into this call is one log append, exactly
-                # mirroring the one maintenance pass and one publish, and
-                # a failed append leaves the in-memory state untouched.
-                self._log_changed(changed)
-                for name, (_, new) in changed.items():
-                    self.database.install(name, new)
-                with _budget.scoped(None):
-                    self.program.apply_updates(changed)
-                self._mutated()
-                self._maybe_checkpoint()
+            changed = self._changes(converted)
+            self._commit(changed)
             return changed
+
+    # -- the commit step ---------------------------------------------------
+
+    def _changes(self, updates: Mapping[str, Relation]) -> Changes:
+        """``name → (old | None, new)`` for the names whose value
+        ``updates`` changes: the one no-op rule of every writer."""
+        changed: Changes = {}
+        for name, new in updates.items():
+            old = self.database[name] if name in self.database else None
+            if old is not None and (old is new or old == new):
+                continue
+            changed[name] = (old, new)
+        return changed
+
+    def _commit(self, changed: Changes,
+                log: Optional[Callable[[Changes], None]] = None,
+                parsed: Optional[ast.Program] = None,
+                check: bool = True) -> None:
+        """The one commit step every write ends in (caller holds the lock).
+
+        ``changed`` comes from :meth:`_changes`; ``parsed`` holds the
+        declarations a :meth:`load` adds. In order: refuse a closed
+        storage; GNF-check each new value; check the integrity constraints
+        on a fork with the write applied (only when some ``ic`` exists,
+        and not when a transaction already has); append the WAL record
+        (``log``, by default one batch record); install into the database;
+        maintain the program in one pass; publish, then maybe checkpoint.
+        A write refused before the WAL append leaves no trace, as an
+        aborted transaction does (Section 3.5)."""
+        self._check_storage()
+        if not changed and parsed is None:
+            return
+        if self.database.enforce_gnf:
+            for name, (_, new) in changed.items():
+                check_gnf(name, new)
+        if check:
+            self._check_constraints(changed, parsed)
+        if self._storage is not None:
+            (log or self._log_changed)(changed)
+        for name, (_, new) in changed.items():
+            self.database.install(name, new)
+        with _budget.scoped(None):
+            if parsed is not None:
+                self.program._ingest(parsed)
+            if changed:
+                self.program.apply_updates(changed)
+        self._mutated()
+        self._maybe_checkpoint()
+
+    def _check_constraints(self, changed: Changes,
+                           parsed: Optional[ast.Program]) -> None:
+        """Raise :class:`ConstraintViolation` — the first failing ``ic``
+        and its witnesses — if the write breaks a constraint. Declarations
+        being loaded are ingested into a fork first; :func:`check_constraints`
+        applies ``changed`` on a fork of its own. Neither fork is built
+        while no ``ic`` exists."""
+        program = self.program
+        if parsed is not None and (program.constraints or any(
+                isinstance(decl, ast.ICDef) for decl in parsed.declarations)):
+            program = program.fork()
+            program._ingest(parsed)
+        if not program.constraints:
+            return
+        post = Database({**self.database.as_mapping(),
+                         **{name: new for name, (_, new) in changed.items()}})
+        failed = {name: rel for name, rel
+                  in check_constraints(program, post).items() if rel}
+        if failed:
+            first = min(failed)
+            raise ConstraintViolation(first, failed[first])
 
     # -- execution ---------------------------------------------------------
 
@@ -710,24 +712,9 @@ class Session:
                 "session storage is closed; reopen with connect(path=...)"
             )
 
-    def _precheck_gnf(self, name: str, rel: Relation) -> None:
-        """GNF-validate ahead of the WAL append on durable sessions: a
-        rejected value must leave no record for recovery to replay.
-        (install() re-validates — the double check only costs on the rare
-        durable + enforce_gnf combination.)"""
-        if self._storage is not None and self.database.enforce_gnf:
-            from repro.db.gnf import check_gnf
-
-            check_gnf(name, rel)
-
-    def _log_changed(
-        self, changed: Mapping[str, Tuple[Optional[Relation], Relation]],
-    ) -> None:
-        """Append one WAL batch record for applied ``name → (old, new)``
-        deltas (caller holds the lock; called after the GNF gate and
-        before the snapshot publish)."""
-        if self._storage is None or not changed:
-            return
+    def _log_changed(self, changed: Changes) -> None:
+        """The default WAL record of :meth:`_commit`: one batch record of
+        ``name → (inserted, deleted)`` rows."""
         updates = {}
         for name, (old, new) in changed.items():
             prev = old if old is not None else EMPTY
@@ -792,32 +779,18 @@ class Session:
 
         coerced = coerce_rows(rows)
         with self._lock:
-            self._check_storage()
             if table_format == "sqlite" and self._storage is None:
                 raise ValueError(
                     "table_format='sqlite' requires a durable session — "
                     "open one with connect(path=...)"
                 )
-            old = self.database[name] if name in self.database else None
-            base = old if old is not None else EMPTY
-            new = base.union(Relation(coerced))
-            if new is base or len(new) == len(base):
-                return 0
-            if self.database.enforce_gnf:
-                # The GNF gate must precede the log append: a rejected
-                # load must leave no record for recovery to replay.
-                from repro.db.gnf import check_gnf
-
-                check_gnf(name, new)
-            if self._storage is not None:
-                self._storage.log_bulk(
-                    name, coerced, use_store=(table_format == "sqlite"))
-            self.database.install(name, new)
-            with _budget.scoped(None):
-                self.program.apply_updates({name: (old, new)})
-            self._mutated()
-            self._maybe_checkpoint()
-            return len(new) - len(base)
+            old = self.database[name]
+            new = old.union(Relation(coerced))
+            self._commit(self._changes({name: new}),
+                         log=lambda _: self._storage.log_bulk(
+                             name, coerced,
+                             use_store=(table_format == "sqlite")))
+            return len(new) - len(old)
 
     def storage_statistics(self) -> Dict[str, int]:
         """Durability counters (``wal_appends``, ``wal_bytes``,
@@ -840,21 +813,14 @@ class Session:
         the session's computed extents.
 
         The transaction evaluates and checks on a private fork of the warm
-        session program (see :mod:`repro.db.transaction`); a commit logs
-        first, then installs and maintains in one batch, like
-        :meth:`apply_batch`."""
+        session program (see :mod:`repro.db.transaction`) and hands its net
+        changes to the session's commit step, which does not check them
+        again."""
         with self._lock:
-            self._check_storage()
-            result = Transaction(self.database, program=self.program,
-                                 journal=self._log_changed).execute(source)
-            if result.committed and result.changed:
-                # The snapshot republish happens only here, after the
-                # batch: concurrent readers see the pre- or post-transaction
-                # state, never a half-applied one. Aborted transactions
-                # (constraint violations) log nothing.
-                self._mutated()
-                self._maybe_checkpoint()
-            return result
+            return Transaction(
+                self.database, program=self.program,
+                commit=lambda changed: self._commit(changed, check=False),
+            ).execute(source)
 
     # -- introspection -----------------------------------------------------
 

@@ -7,8 +7,10 @@ Implements Sections 2 and 3.4–3.5 of the paper:
 - :class:`Transaction` — the execution of a query against a database, with
   the control relations ``output``, ``insert``, and ``delete``; changes
   persist unless the transaction aborts;
-- integrity constraints (``ic … requires``), checked at commit time; a
-  violation aborts the transaction (:class:`ConstraintViolation`);
+- integrity constraints (``ic … requires``), checked at every commit; a
+  violation aborts the write: a transaction returns ``committed=False``,
+  every other session write raises
+  :class:`~repro.engine.errors.ConstraintViolation`;
 - :mod:`repro.db.gnf` — graph normal form validation (the 6NF key condition
   and the unique-identifier property) and ER→GNF schema derivation.
 """

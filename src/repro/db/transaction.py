@@ -18,8 +18,11 @@ extents, plans and indexes read-only; only the transaction source is
 parsed, and only what it adds or changes is evaluated. Constraints are
 checked on the same fork after the net changes are applied to it. Abort is
 dropping the fork: the live program, its caches and its counters were never
-touched. Commit journals the net changes, installs them into the database
-and applies them to the live program in one maintenance pass.
+touched. Commit hands the checked net changes to a ``commit`` callback —
+the session's commit step, which logs, installs and maintains them like
+every other session write — or, for a standalone transaction, installs
+them into the database and applies them to the live program in one
+maintenance pass.
 
 Concurrency: the fork is thread-confined and the database changes only at
 commit. The session layer runs the whole execute-check-commit sequence
@@ -35,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.db.database import Database
 from repro.engine import budget as _budget
+from repro.engine import builtins as bi
 from repro.engine.errors import EvaluationError
 from repro.engine.expand import eval_rule
 from repro.engine.program import EngineOptions, RelProgram
@@ -59,7 +63,7 @@ class TransactionResult:
     ``changed`` records, per base relation the commit actually touched, the
     ``(old, new)`` pair (``old`` is ``None`` for relations created by the
     transaction) — the batch the commit fed to the engine's incremental
-    maintenance and to the journal."""
+    maintenance (and, in a session, to its write-ahead log)."""
 
     committed: bool
     output: Relation
@@ -84,7 +88,7 @@ class Transaction:
                  options: Optional[EngineOptions] = None,
                  load_stdlib: bool = True,
                  program: Optional[RelProgram] = None,
-                 journal: Optional[Callable[[Changes], None]] = None) -> None:
+                 commit: Optional[Callable[[Changes], None]] = None) -> None:
         self.database = database
         self.options = options
         self.load_stdlib = load_stdlib
@@ -92,10 +96,9 @@ class Transaction:
         #: warm state are in scope (the session layer passes its own);
         #: ``None`` builds one on ``database`` per execution.
         self.program = program
-        #: Called with the net changes before anything is installed (the
-        #: session's write-ahead log append): if it raises, the database
-        #: and the program stay untouched.
-        self.journal = journal
+        #: Takes the checked net changes (possibly none) in place of the
+        #: install-and-maintain below: the session passes its commit step.
+        self.commit = commit
 
     def execute(self, source: str) -> TransactionResult:
         """Run a Rel program; commit its effects unless a constraint fails.
@@ -145,11 +148,11 @@ class Transaction:
                 aborted_by=sorted(failed)[0],
             )
 
-        # Commit: journal first, so a failed append leaves memory in step
-        # with the log; then one maintenance pass on the live program.
-        if changed:
-            if self.journal is not None:
-                self.journal(changed)
+        # Commit: the caller's commit step, or install and one maintenance
+        # pass on the live program.
+        if self.commit is not None:
+            self.commit(changed)
+        elif changed:
             for name, (_, new) in changed.items():
                 self.database.install(name, new)
             with _budget.scoped(None):
@@ -189,28 +192,35 @@ def check_constraints(program: RelProgram,
     relations already are ``database``'s (a transaction's fork after its
     updates); otherwise on a fork of ``program`` brought to ``database`` by
     one :meth:`~RelProgram.apply_updates`, leaving ``program`` unchanged.
+    Relations need no declaration (Section 3.4): a name the constraints
+    reach that nothing defines is an empty base relation on that fork.
     """
-    constraints = program.constraints
-    if constraints:
+    # The violation relation of each constraint is the *negation* of the
+    # requirement, pushed to negation normal form so the positive guard of
+    # "G implies F" generates the candidate bindings.
+    rules = [(ic, compile_rule(ast.RuleDef(
+        name=f"__ic_{ic.name}",
+        head=tuple(ic.params),
+        body=negate(ic.body),
+        formula_head=True,
+        pos=ic.pos,
+    ))) for ic in program.constraints]
+    if rules:
         base = program.durable_state()
         stale = {name: (base.get(name), rel) for name, rel in database.items()
                  if not (base.get(name) is rel or base.get(name) == rel)}
+        for _, rule in rules:
+            for name in rule.free:
+                for ref in program._refs_of(name):
+                    if ref not in stale and ref not in base \
+                            and ref not in program.closures \
+                            and bi.lookup(ref) is None:
+                        stale[ref] = (None, EMPTY)
         if stale:
             program = program.fork()
             program.apply_updates(stale)
     results: Dict[str, Relation] = {}
-    for ic in constraints:
-        # The violation relation is the *negation* of the requirement,
-        # pushed to negation normal form so the positive guard of
-        # "G implies F" generates the candidate bindings.
-        violation_body = negate(ic.body)
-        rule = compile_rule(ast.RuleDef(
-            name=f"__ic_{ic.name}",
-            head=tuple(ic.params),
-            body=violation_body,
-            formula_head=True,
-            pos=ic.pos,
-        ))
+    for ic, rule in rules:
         try:
             facts = eval_rule(rule, Env.EMPTY, program._context())
         except Exception as exc:  # surface with constraint context

@@ -16,6 +16,7 @@ The public entry point is :class:`repro.engine.program.RelProgram`.
 
 from repro.engine.budget import EvalBudget
 from repro.engine.errors import (
+    ConstraintViolation,
     ConvergenceError,
     DispatchError,
     EvaluationError,
@@ -29,6 +30,7 @@ from repro.engine.errors import (
 from repro.engine.program import RelProgram
 
 __all__ = [
+    "ConstraintViolation",
     "ConvergenceError",
     "DispatchError",
     "EvalBudget",

@@ -8,7 +8,8 @@ many of Rel's design decisions."
 
 This package provides that toolbox:
 
-- :func:`hash_join` / :func:`sort_merge_join` — classical binary joins;
+- :func:`hash_join` — the classical binary join (:func:`nested_loop_join`
+  is its reference);
 - :class:`LeapfrogTriejoin` — the worst-case optimal multiway join of
   Veldhuizen [47], walking sorted tries variable by variable;
 - :func:`multiway_join` — a generic conjunctive-query evaluator with a
@@ -16,7 +17,7 @@ This package provides that toolbox:
   benchmarks (triangle counting and friends).
 """
 
-from repro.joins.binary import hash_join, nested_loop_join, sort_merge_join
+from repro.joins.binary import hash_join, nested_loop_join
 from repro.joins.leapfrog import LeapfrogTriejoin, build_sorted_trie, leapfrog_triejoin
 from repro.joins.planner import (
     Atom,
@@ -41,5 +42,4 @@ __all__ = [
     "multiway_join",
     "nested_loop_join",
     "nested_loop_plan_join",
-    "sort_merge_join",
 ]

@@ -5,11 +5,11 @@ plus a tuple of column names. They form the baseline against which the
 worst-case optimal join is measured (benchmark B2), mirroring the paper's
 claim that WCOJ algorithms are what make many-joins GNF practical.
 
-All three algorithms key their joins on :func:`repro.model.values.sort_key`,
+Both algorithms key their joins on :func:`repro.model.values.sort_key`,
 the engine's value semantics: ``1`` and ``1.0`` join (numeric equality),
 ``True`` and ``1`` do not (booleans are a distinct sort). This keeps
-``hash_join``, ``sort_merge_join`` and ``nested_loop_join`` in exact
-agreement with each other and with the leapfrog triejoin.
+``hash_join`` and ``nested_loop_join`` in exact agreement with each other
+and with the leapfrog triejoin.
 """
 
 from __future__ import annotations
@@ -65,50 +65,6 @@ def hash_join(rows_a: Iterable[Row], cols_a: Sequence[str],
         for match in table.get(key, ()):
             a, b = (match, row) if build_left else (row, match)
             out.append(a + tuple(b[i] for i in rest_b))
-    return out, out_cols
-
-
-def sort_merge_join(rows_a: Iterable[Row], cols_a: Sequence[str],
-                    rows_b: Iterable[Row], cols_b: Sequence[str]
-                    ) -> Tuple[List[Row], Tuple[str, ...]]:
-    """Natural sort-merge join on shared column names."""
-    rows_a = list(rows_a)
-    rows_b = list(rows_b)
-    shared = _common_columns(cols_a, cols_b)
-    if not shared:
-        return hash_join(rows_a, cols_a, rows_b, cols_b)
-    ia = [list(cols_a).index(c) for c in shared]
-    ib = [list(cols_b).index(c) for c in shared]
-    rest_b = [i for i, c in enumerate(cols_b) if c not in shared]
-    out_cols = tuple(cols_a) + tuple(cols_b[i] for i in rest_b)
-
-    def key_a(row: Row):
-        return _key_at(row, ia)
-
-    def key_b(row: Row):
-        return _key_at(row, ib)
-
-    sa = sorted(rows_a, key=key_a)
-    sb = sorted(rows_b, key=key_b)
-    out: List[Row] = []
-    i = j = 0
-    while i < len(sa) and j < len(sb):
-        ka, kb = key_a(sa[i]), key_b(sb[j])
-        if ka < kb:
-            i += 1
-        elif ka > kb:
-            j += 1
-        else:
-            i_end = i
-            while i_end < len(sa) and key_a(sa[i_end]) == ka:
-                i_end += 1
-            j_end = j
-            while j_end < len(sb) and key_b(sb[j_end]) == kb:
-                j_end += 1
-            for a in sa[i:i_end]:
-                for b in sb[j:j_end]:
-                    out.append(a + tuple(b[i2] for i2 in rest_b))
-            i, j = i_end, j_end
     return out, out_cols
 
 

@@ -16,6 +16,10 @@ users; :class:`QueryServer` is the in-process shape of that front end:
   maintenance pass (the PR-3 delta path) and one atomic snapshot publish
   for the entire burst. Every enqueued operation gets a
   :class:`~concurrent.futures.Future` resolved when its batch commits.
+  Every write reaches the session's one commit step, so integrity
+  constraints hold on all of them: when a coalesced run breaks one, the
+  run is re-applied op by op and only the violating ops' futures raise
+  :class:`~repro.engine.errors.ConstraintViolation`.
 
 Consistency model: writes are serialized and applied in submission order;
 a read observes the latest snapshot *published when the read executes*.
@@ -43,7 +47,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.engine.budget import EvalBudget
-from repro.engine.errors import QueryBudgetError, QueryTimeoutError
+from repro.engine.errors import (ConstraintViolation, QueryBudgetError,
+                                 QueryTimeoutError)
 from repro.lang import ast, parse_expression
 from repro.model.relation import Relation
 
@@ -381,8 +386,15 @@ class QueryServer:
                 session.apply_batch({name: rel for name, rel in
                                      updates.items() if rel is not None})
             except BaseException as exc:
-                for op in group:
-                    op.future.set_exception(exc)
+                if isinstance(exc, ConstraintViolation) and len(group) > 1:
+                    # Some op breaks a constraint: re-apply the run op by
+                    # op, in submission order, so only the violating fail.
+                    for op in group:
+                        self._settle(op, getattr(session, op.kind),
+                                     op.name, op.payload)
+                else:
+                    for op in group:
+                        op.future.set_exception(exc)
                 return
         if len(group) > 1:
             with self._stats_lock:
@@ -393,28 +405,31 @@ class QueryServer:
     def _apply_one(self, op: _WriteOp) -> None:
         if not op.future.set_running_or_notify_cancel():
             return  # cancelled while queued: skip, don't apply
+        session = self.session
+        if op.kind == "define":
+            self._settle(op, session.define, op.name, op.payload)
+        elif op.kind == "load":
+            self._settle(op, session.load, op.payload)
+        elif op.kind == "transact":
+            self._settle(op, session.transact, op.payload, keep=True)
+        else:
+            # flush() doubles as the durability barrier: on a durable
+            # session, every write committed before the barrier is
+            # fsync'd (policy permitting) by the time the caller's future
+            # resolves. Non-durable sessions: sync() is a no-op.
+            self._settle(op, session.sync)
+
+    @staticmethod
+    def _settle(op: _WriteOp, call: Callable[..., Any], *args: Any,
+                keep: bool = False) -> None:
+        """Run one write and resolve its (already claimed) future: with the
+        call's result when ``keep``, else with ``None``."""
         try:
-            if op.kind == "define":
-                result = None
-                self.session.define(op.name, op.payload)
-            elif op.kind == "load":
-                result = None
-                self.session.load(op.payload)
-            elif op.kind == "transact":
-                result = self.session.transact(op.payload)
-            elif op.kind == "barrier":
-                # flush() doubles as the durability barrier: on a durable
-                # session, every write committed before the barrier is
-                # fsync'd (policy permitting) by the time the caller's
-                # future resolves. Non-durable sessions: sync() is a no-op.
-                self.session.sync()
-                result = None
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown write op {op.kind!r}")
+            result = call(*args)
         except BaseException as exc:
             op.future.set_exception(exc)
         else:
-            op.future.set_result(result)
+            op.future.set_result(result if keep else None)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -55,8 +55,8 @@ Encode reads the distinct intern codes straight out of the typed vectors
 (the process-wide interner of :mod:`repro.model.columns` — each distinct
 string is decoded once, not once per row); decode bulk-interns the table
 and remaps integers, adopting the result as a columnar-native relation.
-All three formats decode forever (blocks self-tag via ``strings``); the
-``INTERN_TABLES`` switch below exists for benchmark A/B only.
+All three formats decode forever (blocks self-tag via ``strings``);
+encode writes only the newest format a relation allows.
 """
 
 from __future__ import annotations
@@ -70,29 +70,6 @@ from repro.model.values import Entity, Symbol
 from repro.storage.errors import CodecError
 
 _SCALARS = (bool, int, float, str)
-
-#: Tri-state switch for columnar relation blocks: ``None`` follows the
-#: columnar plane's availability (numpy present and not ablated via
-#: ``REPRO_COLUMNAR=off``); ``False``/``True`` force the row/columnar
-#: format. Consulted at every :func:`encode_relation` call so benchmarks
-#: can A/B the codecs in-process; decode needs no switch (self-tagging).
-COLUMNAR_BLOCKS: Optional[bool] = None
-
-#: Tri-state switch for per-block string tables (PR 8): inside a columnar
-#: block, ``str`` columns are written as small local integer codes plus
-#: one deduplicated ``strings`` table, instead of repeating every string
-#: per row. Encode shares the process-wide interner
-#: (:mod:`repro.model.columns`): the distinct codes already sitting in the
-#: typed vectors index the table directly, so a string-heavy relation is
-#: materialized once per *distinct* string rather than once per row.
-#: Decode bulk-interns the table once and rebuilds the vectors by integer
-#: remap — producing a columnar-native relation without touching a row.
-#: ``None`` follows the columnar plane's availability; ``False``/``True``
-#: force the inline/interned format (benchmark A/B). Decode needs no
-#: switch (blocks self-tag via the ``strings`` key) and accepts every
-#: older format forever.
-INTERN_TABLES: Optional[bool] = None
-
 
 def encode_value(value: Any) -> Any:
     """One Rel value → its JSON-able form (see the module table)."""
@@ -145,17 +122,17 @@ def encode_relation(rel: Relation,
     """A relation as either a columnar block (typed relations) or a sorted
     list of encoded rows — deterministic bytes either way: the block's row
     order is a pure function of the stored rows (lexicographic over the
-    typed columns), the row list is ``tuple_sort_key`` order."""
-    if columnar is None:
-        columnar = COLUMNAR_BLOCKS
+    typed columns), the row list is ``tuple_sort_key`` order.
+
+    ``columnar=None`` writes a block whenever the columnar plane is
+    available (numpy present, not ablated via ``REPRO_COLUMNAR=off``);
+    ``False`` forces the row list. Blocks with ``str`` columns always
+    carry a string table."""
     if columnar or (columnar is None and _columns.available()):
         cols = rel.columns()
         if cols is not None:
             order = cols.row_order()
-            intern = INTERN_TABLES
-            if intern is None:
-                intern = True
-            if intern and "str" in cols.tags:
+            if "str" in cols.tags:
                 return _encode_interned_block(cols, order)
             return {"c": {
                 "tags": list(cols.tags),

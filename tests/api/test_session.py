@@ -182,6 +182,20 @@ class TestTransactions:
         assert result.committed
         assert s.relation("V") == Relation([(2, 1, 5), (3, 1, 7)])
 
+    def test_constraint_over_a_never_installed_relation(self):
+        """Relations need no declaration (Section 3.4): a constraint over
+        a relation nothing has installed sees it empty, and checking it
+        installs nothing in the session."""
+        s = connect(load_stdlib=False,
+                    schema="ic positive(x, q) requires Qty(x, q) implies q > 0")
+        result = s.transact("def insert(:Other, x) : x = 1")
+        assert result.committed
+        assert s.relation("Other") == Relation([(1,)])
+        assert "Qty" not in s.database
+        assert "Qty" not in s.program.base_relations
+        result = s.transact("def insert(:Qty, x, q) : x = 1 and q = -1")
+        assert not result.committed and result.aborted_by == "positive"
+
 
 class TestIntrospection:
     def test_names_mixes_base_and_derived(self, session):

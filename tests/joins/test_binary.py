@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.joins import hash_join, nested_loop_join, sort_merge_join
+from repro.joins import hash_join, nested_loop_join
 
-ALGORITHMS = [hash_join, sort_merge_join, nested_loop_join]
+ALGORITHMS = [hash_join, nested_loop_join]
 
 
 @pytest.mark.parametrize("join", ALGORITHMS)
@@ -50,7 +50,7 @@ def test_all_algorithms_agree(a, b):
     for join in ALGORITHMS:
         rows, cols = join(a, ("k", "x"), b, ("k", "y"))
         results.append((sorted(rows), cols))
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,7 +10,10 @@ other.
 PR 8 adds the interned string-table block variant (``str`` columns as
 integer codes into one sorted per-block ``strings`` table, sharing the
 process-wide interner on both encode and decode); the compatibility
-matrix extends to three formats, all decodable forever.
+matrix extends to three formats, all decodable forever. Encode writes
+only the newest format, so the older two are produced here, test-side:
+``columnar=False`` gives the row list, :func:`_inline_strings` the
+pre-table block.
 """
 
 import json
@@ -25,6 +28,29 @@ from repro.storage import codec
 kernels = pytest.mark.skipif(
     not columns.KERNELS_AVAILABLE,
     reason="columnar kernels unavailable (no numpy or REPRO_COLUMNAR=off)")
+
+_encode = codec.encode_relation
+
+
+def _inline_strings(rel, *, columnar=None):
+    """The PR-7 block: ``str`` columns spelled out row by row, no table."""
+    enc = _encode(rel, columnar=columnar)
+    if not isinstance(enc, dict) or "strings" not in enc["c"]:
+        return enc
+    block = enc["c"]
+    table = block["strings"]
+    return {"c": {"tags": block["tags"],
+                  "cols": [[table[i] for i in col] if tag == "str" else col
+                           for tag, col in zip(block["tags"], block["cols"])]}}
+
+
+def _row_lists(rel, *, columnar=None):
+    """The PR-6 format: every relation a sorted row list."""
+    return _encode(rel, columnar=False)
+
+
+#: Which writer each checkpoint format comes from; ``None`` is today's.
+WRITERS = {"rows": _row_lists, "inline": _inline_strings, None: _encode}
 
 
 @kernels
@@ -45,11 +71,7 @@ class TestFormatSelection:
     def test_columnar_flag_forces_row_format(self):
         rel = Relation([(1,), (2,)])
         assert isinstance(codec.encode_relation(rel, columnar=False), list)
-        codec.COLUMNAR_BLOCKS = False
-        try:
-            assert isinstance(codec.encode_relation(rel), list)
-        finally:
-            codec.COLUMNAR_BLOCKS = None
+        assert isinstance(codec.encode_relation(rel), dict)
 
 
 @kernels
@@ -124,13 +146,13 @@ class TestInternedStringTables:
         assert "strings" not in enc["c"]
 
     def test_intern_tables_flag_forces_inline_strings(self):
-        codec.INTERN_TABLES = False
-        try:
-            enc = codec.encode_relation(self.REL)
-        finally:
-            codec.INTERN_TABLES = None
+        # Encode has no inline-string switch any more; the pre-table block
+        # it used to write must still decode.
+        enc = _inline_strings(self.REL)
         assert "strings" not in enc["c"]
-        assert codec.decode_relation(enc) == self.REL
+        assert "name-0" in enc["c"]["cols"][enc["c"]["tags"].index("str")]
+        assert codec.decode_relation(json.loads(codec.dump_payload(enc))) \
+            == self.REL
 
     def test_decode_without_kernels_resolves_through_the_table(self):
         enc = codec.encode_relation(self.REL)
@@ -144,55 +166,52 @@ class TestInternedStringTables:
 
 
 class TestCheckpointCompatibility:
-    def _write(self, path, columnar):
-        codec.COLUMNAR_BLOCKS = columnar
-        try:
-            session = connect(path=path, load_stdlib=False)
-            session.define("E", [(i, i + 1) for i in range(50)])
-            session.insert("E", [(99, 0)])
-            session.load("def P(x) : exists((y) | E(x, y))")
-            session.checkpoint()
-            session.close()
-        finally:
-            codec.COLUMNAR_BLOCKS = None
+    """A checkpoint in any format reopens under today's writer and under
+    the older ones (``encode_relation`` is patched where WALs and
+    checkpoints call it)."""
 
-    def _reopen_and_check(self, path, columnar):
-        codec.COLUMNAR_BLOCKS = columnar
-        try:
-            session = connect(path=path, load_stdlib=False)
-            assert len(session.relation("E")) == 51
-            assert (99, 0) in session.relation("E")
-            assert len(session.relation("P")) == 51
-            session.close()
-        finally:
-            codec.COLUMNAR_BLOCKS = None
+    def _write(self, path, monkeypatch, writer):
+        monkeypatch.setattr(codec, "encode_relation", WRITERS[writer])
+        session = connect(path=path, load_stdlib=False)
+        session.define("E", [(i, i + 1) for i in range(50)])
+        session.insert("E", [(99, 0)])
+        session.load("def P(x) : exists((y) | E(x, y))")
+        session.checkpoint()
+        session.close()
 
-    def test_row_checkpoint_reopens_under_columnar(self, tmp_path):
-        self._write(tmp_path / "db", columnar=False)
-        self._reopen_and_check(tmp_path / "db", columnar=None)
+    def _reopen_and_check(self, path, monkeypatch, writer):
+        monkeypatch.setattr(codec, "encode_relation", WRITERS[writer])
+        session = connect(path=path, load_stdlib=False)
+        assert len(session.relation("E")) == 51
+        assert (99, 0) in session.relation("E")
+        assert len(session.relation("P")) == 51
+        session.close()
+
+    def test_row_checkpoint_reopens_under_columnar(self, tmp_path,
+                                                   monkeypatch):
+        self._write(tmp_path / "db", monkeypatch, "rows")
+        self._reopen_and_check(tmp_path / "db", monkeypatch, None)
 
     @kernels
-    def test_columnar_checkpoint_reopens_under_row_codec(self, tmp_path):
-        self._write(tmp_path / "db", columnar=True)
-        self._reopen_and_check(tmp_path / "db", columnar=False)
+    def test_columnar_checkpoint_reopens_under_row_codec(self, tmp_path,
+                                                         monkeypatch):
+        self._write(tmp_path / "db", monkeypatch, None)
+        self._reopen_and_check(tmp_path / "db", monkeypatch, "rows")
 
     @kernels
     @pytest.mark.parametrize("write_interned", [True, False])
     def test_string_checkpoints_reopen_across_intern_formats(
-            self, tmp_path, write_interned):
+            self, tmp_path, monkeypatch, write_interned):
         rows = [(i, f"label-{i % 9}") for i in range(80)]
-        codec.INTERN_TABLES = write_interned
-        try:
-            session = connect(path=tmp_path / "db", load_stdlib=False)
-            session.define("S", rows)
-            session.checkpoint()
-            session.close()
-        finally:
-            codec.INTERN_TABLES = None
-        codec.INTERN_TABLES = not write_interned  # decode ignores the knob
-        try:
-            session = connect(path=tmp_path / "db", load_stdlib=False)
-            assert session.relation("S") == Relation(rows)
-            session.close()
-        finally:
-            codec.INTERN_TABLES = None
+        monkeypatch.setattr(codec, "encode_relation",
+                            WRITERS[None if write_interned else "inline"])
+        session = connect(path=tmp_path / "db", load_stdlib=False)
+        session.define("S", rows)
+        session.checkpoint()
+        session.close()
+        # Decode reads whichever block it finds, whatever encode writes.
+        monkeypatch.setattr(codec, "encode_relation",
+                            WRITERS["inline" if write_interned else None])
+        session = connect(path=tmp_path / "db", load_stdlib=False)
+        assert session.relation("S") == Relation(rows)
+        session.close()
