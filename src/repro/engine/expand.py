@@ -2784,7 +2784,8 @@ def eval_rule(rule: Rule, env: Env, ctx,
 
 def eval_rule_relation(rule: Rule, env: Env, ctx,
                        demand: Tuple[Tuple[int, Any], ...] = (),
-                       full_arity: Optional[int] = None) -> Relation:
+                       full_arity: Optional[int] = None, *,
+                       seed: Optional[Relation] = None) -> Relation:
     """Like :func:`eval_rule` but packaged as a :class:`Relation` directly.
 
     A columnar body result whose head is a straight tuple of value
@@ -2792,17 +2793,22 @@ def eval_rule_relation(rule: Rule, env: Env, ctx,
     drivers then difference/union/compare it against the running totals
     entirely in vector space, never touching Python row tuples. Otherwise
     the head tuples are emitted pre-keyed in the relation's key space, so
-    the drivers still skip one full re-keying pass per rule evaluation."""
-    got = _eval_rule_result(rule, env, ctx, demand, full_arity)
+    the drivers still skip one full re-keying pass per rule evaluation.
+
+    ``seed`` binds the head variables to every seed row at once and keeps
+    the seed rows the rule derives; a head it cannot bind (a constant or
+    tuple-variable position, rows of another arity) raises SafetyError."""
+    got = _eval_rule_result(rule, env, ctx, demand, full_arity, seed)
     if got is None:
         return EMPTY
     rel = _emit_columnar(*got, ctx)
-    if rel is not None:
-        return _charge_rows(rel)
-    keyed = _emit_keyed(*got, ctx)
-    if not keyed:
-        return EMPTY
-    return _charge_rows(Relation._from_keyed(keyed))
+    if rel is None:
+        keyed = _emit_keyed(*got, ctx)
+        if not keyed:
+            return EMPTY
+        rel = Relation._from_keyed(keyed)
+    rel = _charge_rows(rel)
+    return rel if seed is None else seed.intersect(rel)
 
 
 def _charge_rows(rel: Relation) -> Relation:
@@ -2826,7 +2832,8 @@ def _charge_rows(rel: Relation) -> Relation:
 
 def _eval_rule_result(rule: Rule, env: Env, ctx,
                       demand: Tuple[Tuple[int, Any], ...] = (),
-                      full_arity: Optional[int] = None):
+                      full_arity: Optional[int] = None,
+                      seed: Optional[Relation] = None):
     """Schedule one rule body and return ``(result table, positional head
     bindings, post filters, frame)``, or None when the demand pattern is
     unsatisfiable. Head emission is the caller's choice:
@@ -2834,11 +2841,13 @@ def _eval_rule_result(rule: Rule, env: Env, ctx,
     :func:`_emit_columnar` (a native columnar relation)."""
     locals_, guards, positional = _rule_skeleton(rule, ctx)
     frame = Frame(env, frozenset(locals_))
-    pre, post = align_demand(positional, demand, full_arity)
-    if pre is None:
-        return None
-    cols = tuple(pre.keys())
-    table = Table(cols, [tuple(pre.values()) + ((),)])
+    if seed is not None:
+        table, post = _seed_table(rule, positional, seed, ctx), ()
+    else:
+        pre, post = align_demand(positional, demand, full_arity)
+        if pre is None:
+            return None
+        table = Table(tuple(pre.keys()), [tuple(pre.values()) + ((),)])
     items: List[Tuple[Optional[int], ast.Node]] = [(None, g) for g in guards]
     items.append((0, rule.body))
     try:
@@ -2851,6 +2860,18 @@ def _eval_rule_result(rule: Rule, env: Env, ctx,
             f"rule {rule.name}: head variables {sorted(unbound)} are unconstrained"
         )
     return result, positional, post, frame
+
+
+def _seed_table(rule: Rule, positional, seed: Relation, ctx) -> Table:
+    """One row per seed row, one column per head variable (a repeated
+    variable is already aliased apart, its guard re-checking equality)."""
+    if seed.arities() != {len(positional)} or not all(
+            isinstance(b, ast.VarBinding) for b in positional):
+        raise SafetyError(f"rule {rule.name}: head cannot be seeded")
+    cols = tuple(b.name for b in positional)
+    if cols and _columnar_mode(ctx) != "off" and seed.columns() is not None:
+        return Table.from_columns(cols, (), seed.columns(), ())
+    return Table(cols, [row + ((),) for row in seed.rows()], distinct=True)
 
 
 def _emit_columnar(result: Table, positional, post, frame: Frame,

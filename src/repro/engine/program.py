@@ -41,14 +41,11 @@ from repro.engine.expand import (
     Frame,
     NotOrderable,
     eval_relation,
-    eval_rule,
     eval_rule_relation,
     expand,
     rule_orderable,
-    simulate,
 )
 from repro.engine.runtime import Closure, Env, Rule, compile_rule
-from repro.engine.table import Table
 from repro.lang import ast, parse_expression, parse_program
 from repro.model import columns as _columns
 from repro.model.relation import EMPTY, Relation
@@ -59,12 +56,6 @@ from repro.model.values import value_key
 # Python frames per Rel-level call; raise the interpreter limit once.
 if sys.getrecursionlimit() < 100_000:
     sys.setrecursionlimit(100_000)
-
-#: Delete-rederive checks candidates tuple-by-tuple (demanded head
-#: bindings) up to this many candidates; beyond it, one full rule
-#: evaluation intersected with the candidate set is cheaper. Point lookups
-#: stay cheaper than a full recursive join well into the hundreds.
-_REDERIVE_DEMAND_LIMIT = 512
 
 
 @dataclasses.dataclass
@@ -1379,7 +1370,7 @@ class RelProgram:
     # - **deletes** run DRed: over-delete every tuple with a derivation
     #   through a deleted tuple (the same delta rounds, against the
     #   pre-update state), then re-derive the candidates that still have
-    #   support with a separate loop of point lookups or full rule passes;
+    #   support in a separate loop of candidate-seeded rule evaluations;
     # - strata whose rules use a changed name in a restricted context
     #   (negation, aggregation, comparisons, overrides) are recomputed from
     #   scratch and diffed, so their *net* delta keeps propagating
@@ -1597,10 +1588,9 @@ class RelProgram:
         old_ext = {m: state.extents[m] for m in members}
 
         minus_frontier = {n: mi for n, (_, mi) in trigger.items() if mi}
-        if minus_frontier:
-            self._overdelete_and_rederive(
-                members, watch, minus_frontier, old_ext, trigger, pre,
-                recursive, ctx)
+        removed = self._overdelete_and_rederive(
+            members, watch, minus_frontier, old_ext, trigger, pre,
+            recursive, ctx) if minus_frontier else {}
 
         accs: Dict[str, Any] = {}
         grow = self._grow(state, False, accs)
@@ -1623,7 +1613,10 @@ class RelProgram:
             if final is old:
                 continue
             acc = accs.get(m)
-            if acc is not None and acc.origin is old and acc.view is final:
+            if m not in accs:
+                # Only DRed moved it: the candidates it left are the delta.
+                plus, minus = EMPTY, removed.get(m, EMPTY)
+            elif acc is not None and acc.origin is old and acc.view is final:
                 # Appends to ``old`` only: the suffix is the net delta.
                 plus, minus = acc.appended(), EMPTY
             else:
@@ -1650,11 +1643,12 @@ class RelProgram:
         pre: Dict[str, Relation],
         recursive: bool,
         ctx: EvalContext,
-    ) -> None:
+    ) -> Dict[str, Relation]:
         """DRed within one stratum: over-delete candidates whose derivations
         pass through deleted tuples (evaluated against the pre-update
-        state), remove them, then re-derive the survivors that still have
-        support in the post-update state."""
+        state), remove them, then re-derive, round by round, those still
+        supported in the post-update state. Returns each member's net
+        removed set: the candidates no round re-derived."""
         state = ctx.state
         # Over-deletion must see the *pre-update* contents of the changed
         # upstream names (a derivation may combine several deleted tuples):
@@ -1688,14 +1682,13 @@ class RelProgram:
                 else:
                     state.extents.pop(n, None)
 
-        removed = {m: c for m, c in cand.items() if c}
-        if not removed:
-            return
+        remaining = {m: c for m, c in cand.items() if c}
+        if not remaining:
+            return remaining
         state.count_maintenance("overdeleted_tuples",
-                                sum(len(c) for c in removed.values()))
-        for m, c in removed.items():
+                                sum(len(c) for c in remaining.values()))
+        for m, c in remaining.items():
             state.extents[m] = old_ext[m].difference(c)
-        remaining = dict(removed)
         while True:
             _budget.count_iteration()
             added = False
@@ -1711,43 +1704,29 @@ class RelProgram:
                     state.count_maintenance("rederived_tuples",
                                             len(survivors))
             if not added or not recursive:
-                break
+                return remaining
 
     def _rederive_candidates(self, name: str, candidates: Relation,
                              ctx: EvalContext) -> Relation:
         """Which over-deleted ``candidates`` are still derivable from the
-        current state? Small candidate sets are checked tuple-by-tuple with
-        demanded head bindings (point lookups); large ones by one full rule
-        evaluation intersected with the candidate set."""
-        state = ctx.state
-        state.count_eval(name)
-        base = self._base.get(name, EMPTY)
-        survivors = candidates.intersect(base)
+        current state? One evaluation per rule, seeded with the candidates
+        not yet re-derived; a head that cannot be seeded is evaluated in
+        full and intersected (valid: the stratum is materialised)."""
+        ctx.state.count_eval(name)
+        survivors = candidates.intersect(self._base.get(name, EMPTY))
         rest = candidates.difference(survivors)
-        if not rest:
-            return survivors
-        rules = self._rules[name]
-        if len(rest) <= _REDERIVE_DEMAND_LIMIT:
+        for rule in self._rules[name]:
+            if not rest:
+                break
             try:
-                derived: List[Tuple[Any, ...]] = []
-                for tup in rest.rows():
-                    demand = tuple(enumerate(tup))
-                    key = model_row_key(tup)
-                    for rule in rules:
-                        facts = eval_rule(rule, Env.EMPTY, ctx,
-                                          demand=demand,
-                                          full_arity=len(tup))
-                        if any(model_row_key(f) == key for f in facts):
-                            derived.append(tup)
-                            break
-                return survivors.union(Relation._from_rows(derived))
-            except (SafetyError, EvaluationError, NotOrderable):
-                pass  # fall through to the full evaluation
-        derived_rel = EMPTY
-        for rule in rules:
-            derived_rel = derived_rel.union(
-                eval_rule_relation(rule, Env.EMPTY, ctx))
-        return survivors.union(derived_rel.intersect(rest))
+                derived = eval_rule_relation(rule, Env.EMPTY, ctx, seed=rest)
+            except (SafetyError, NotOrderable):
+                derived = rest.intersect(
+                    eval_rule_relation(rule, Env.EMPTY, ctx))
+            if derived:
+                survivors = survivors.union(derived)
+                rest = rest.difference(derived)
+        return survivors
 
     def _recompute_component_diff(
         self,

@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro import (EvalBudget, QueryBudgetError, QueryCancelledError,
-                   QueryTimeoutError)
+                   QueryTimeoutError, Relation, RelProgram)
 from repro.engine import budget as budget_mod
 from tests.support.generators import (SCRIPT_BASE, SCRIPT_QUERIES,
                                       SCRIPT_RULES, random_update_op)
@@ -251,3 +251,74 @@ def test_abort_then_requery_differential(seed):
                 pass
         assert session.execute(query) == twin.execute(query), \
             f"seed {seed}: {query!r} diverged after a budgeted abort"
+
+
+# ---------------------------------------------------------------------------
+# Aborts inside delete-rederive
+# ---------------------------------------------------------------------------
+
+#: A 12-ring with chords: every delete over-deletes paths that other routes
+#: re-derive.
+RING = [(i, (i + 1) % 12) for i in range(12)] + \
+    [(i, (i + 3) % 12) for i in range(0, 12, 2)]
+RING_DELETES = [[(0, 1)], [(4, 5), (6, 9)], [(2, 3)], [(8, 9), (10, 11)]]
+
+
+def _ring_program():
+    program = RelProgram(TC_SOURCE, load_stdlib=False)
+    program.define("Edge", Relation(RING))
+    program.relation("Path")
+    return program
+
+
+@pytest.mark.parametrize("limit", ["max_rows", "deadline"])
+def test_abort_inside_seeded_rederive_then_requery(limit, monkeypatch):
+    """Session writes suspend read budgets, so a budget reaches DRed only
+    through the program-level write (``RelProgram.define``). Land an abort
+    inside the seeded rederive of every delete of a delete-heavy script: no
+    partial extent may stay installed, and the re-query must equal a twin
+    that applied the same deletes unbudgeted. A probe program measures the
+    rows charged before and during the rederive — which also pins that
+    ``max_rows`` counts the seeded evaluation."""
+    victim, probe, twin = (_ring_program() for _ in range(3))
+    rederive = RelProgram._rederive_candidates
+    log = {}
+
+    def spy(self, *args):
+        budget = budget_mod.active_budget()
+        if self is probe:
+            log.setdefault("entry", budget.rows)
+            try:
+                return rederive(self, *args)
+            finally:
+                log["exit"] = budget.rows
+        if self is victim:
+            if limit == "deadline" and "slept" not in log:
+                log["slept"] = True
+                time.sleep(budget.deadline)
+            try:
+                return rederive(self, *args)
+            except QueryBudgetError:
+                log["aborted_inside"] = True
+                raise
+        return rederive(self, *args)
+
+    monkeypatch.setattr(RelProgram, "_rederive_candidates", spy)
+    live = Relation(RING)
+    for rows in RING_DELETES:
+        log.clear()
+        live = live.difference(Relation(rows))
+        with budget_mod.scoped(EvalBudget(max_rows=10 ** 9)):
+            probe.define("Edge", live)
+        assert log["exit"] > log["entry"] + 1
+        budget = EvalBudget(max_rows=log["entry"] + 1) \
+            if limit == "max_rows" else EvalBudget(deadline=0.2)
+        with pytest.raises(QueryBudgetError), budget_mod.scoped(budget):
+            victim.define("Edge", live)
+        assert log.get("aborted_inside"), rows
+        twin.define("Edge", live)
+        extents = victim._state.extents
+        assert "Path" not in extents
+        assert not [n for n in extents if n.startswith("__delta__")]
+        assert victim.relation("Path") == twin.relation("Path") == \
+            probe.relation("Path")
