@@ -5,8 +5,9 @@ The columnar plane types each relation column into a contiguous vector
 through numpy kernels when every input column types cleanly. The claim
 is end-to-end, not micro: on a transitive closure whose fixpoint
 materializes large intermediates (the hub graph — every spoke reaches
-every other spoke through a few hub vertices), ``columnar="auto"`` must
-beat ``columnar="off"`` by ≥3x at 10x the sizes of the B1 graphs. On
+every other spoke through a few hub vertices), the shipped plane must
+beat the row plane (``oracles.row_plane``) by ≥3x at 10x the sizes of the
+B1 graphs. On
 driver-bound workloads (the deep chain: hundreds of tiny iterations)
 the plane is allowed to merely break even — asserted as ≥0.8x so a
 constant-factor regression still fails.
@@ -18,9 +19,12 @@ are gone: the codec writes only its newest format, and
 decoding.
 """
 
+import contextlib
 import time
 
 import pytest
+
+from support import oracles
 
 import repro
 from repro.model import columns
@@ -56,11 +60,17 @@ HUB300 = hub_tc_edges(300)      # 10x the B1 random30 vertex count
 CHAIN480 = chain_graph(480)[1]  # 10x the B1 chain48
 
 
+#: "auto": as shipped; "on": kernels at any size; "off": the row plane.
+MODES = {"auto": contextlib.nullcontext, "on": oracles.kernels_forced,
+         "off": oracles.row_plane}
+
+
 def tc_closure(edges, mode):
-    session = repro.connect(load_stdlib=False, columnar=mode)
-    session.define("E", edges)
-    session.load(TC_SOURCE)
-    return session, session.relation("TCr")
+    with MODES[mode]():
+        session = repro.connect(load_stdlib=False)
+        session.define("E", edges)
+        session.load(TC_SOURCE)
+        return session, session.relation("TCr")
 
 
 def best_of(fn, repeat=2):
@@ -113,8 +123,8 @@ def test_shape_columnar_breaks_even_on_chain_tc():
 
 
 def test_shape_modes_agree_on_hub():
-    """Agreement smoke (runs even without numpy): all three knob settings
-    produce the same closure."""
+    """Agreement smoke (runs even without numpy): all three planes produce
+    the same closure."""
     results = [tc_closure(hub_tc_edges(40), mode)[1]
                for mode in ("auto", "on", "off")]
     assert results[0] == results[1] == results[2]

@@ -31,6 +31,8 @@ import time
 
 import pytest
 
+from support import oracles
+
 from repro import Relation, connect
 from repro.server import QueryServer
 
@@ -47,10 +49,18 @@ RULES = """
 CHAIN_N = 60
 
 
+@pytest.fixture(autouse=True)
+def delta_maintenance():
+    """Writes here always take delta maintenance; server threads share the
+    process, so the oracle holds for each whole test."""
+    with oracles.always_delta():
+        yield
+
+
 def serving_session():
     """A warm session over a 60-node chain closure, with the warm state
     already published as a snapshot (the steady-state of a server)."""
-    session = connect(load_stdlib=False, maintenance="delta")
+    session = connect(load_stdlib=False)
     session.define("E", [(i, i + 1) for i in range(1, CHAIN_N)])
     session.load(RULES)
     session.relation("Path")   # materialize + warm the plan/index caches

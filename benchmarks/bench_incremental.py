@@ -3,11 +3,11 @@
 The maintenance claim (paper, Section 5: the engine keeps materialized
 views consistent under updates): a point insert into a base relation with a
 large materialized transitive closure should cost time proportional to the
-*delta*, not to the closure. ``maintenance="delta"`` propagates the
-inserted tuples through the stratified fixpoint with the semi-naive
-``__delta__`` rule variants (the delta joins ride the WCOJ conjunction
-path); ``maintenance="recompute"`` is the legacy drop-dependent-extents
-behavior that re-runs the whole fixpoint.
+*delta*, not to the closure. The "delta" side (``oracles.always_delta``)
+propagates the inserted tuples through the stratified fixpoint with the
+semi-naive ``__delta__`` rule variants (the delta joins ride the WCOJ
+conjunction path); the "recompute" side (``oracles.recompute``) is the
+drop-dependent-extents fallback that re-runs the whole fixpoint.
 
 Expected shape: ≥10× for point inserts on the hub-chain closure below
 (measured ~25×), with identical results. Deletes (DRed delete-rederive)
@@ -21,7 +21,11 @@ import time
 
 import pytest
 
+from support import oracles
+
 from repro import connect
+
+MODES = {"delta": oracles.always_delta, "recompute": oracles.recompute}
 
 CHAIN = 110
 POINT_UPDATES = 5
@@ -40,12 +44,12 @@ def hub_chain_edges():
 
 
 def warm_session(maintenance, extra=()):
-    # columnar="off": this bench gates *maintenance strategy* (delta vs
+    # oracles.row_plane: this bench gates *maintenance strategy* (delta vs
     # recompute), so both sides run on the row plane PR 3 measured. The
     # PR-7 columnar plane accelerates only the full-fixpoint recompute
     # side (point deltas are below the kernel row threshold), which
     # would fold the data-plane speedup into a maintenance-strategy gate.
-    session = connect(maintenance=maintenance, columnar="off")
+    session = oracles.under(connect(), oracles.row_plane, MODES[maintenance])
     session.define("E", hub_chain_edges() + list(extra))
     session.load(RULES)
     session.relation("Path")  # materialize the closure once

@@ -17,12 +17,14 @@ orders of magnitude above compiles.
 Run with:  pytest benchmarks/bench_plan_cache.py --benchmark-only
 """
 
+import contextlib
 import time
 
 import pytest
 
+from support import oracles
+
 from repro import RelProgram, Relation, connect
-from repro.engine.program import EngineOptions
 from repro.workloads import chain_graph, grid_graph
 from repro.workloads.graphs import cycle_graph, random_graph
 from repro.workloads.matrices import column_stochastic_link_matrix
@@ -42,19 +44,25 @@ REACH_CHAIN = chain_graph(300)[1]
 GRID = grid_graph(10, 10)[1]
 
 
+@contextlib.contextmanager
+def plane(plan_cache):
+    """Cached plans (as shipped) or ``oracles.interpreted``, both on the
+    row plane: this bench gates *plan compilation* vs. per-call
+    interpretation. The columnar kernels absorb exactly the per-iteration
+    planning and index-building overheads the plan cache amortizes, which
+    would fold the data-plane speedup into a plan-reuse gate."""
+    with oracles.row_plane(), \
+            (contextlib.nullcontext() if plan_cache else oracles.interpreted()):
+        yield
+
+
 def run_fixpoint(source, relations, target, plan_cache):
-    # columnar="off": this bench gates *plan compilation* vs. per-call
-    # interpretation, so both sides run on the row plane PR 4 measured.
-    # The PR-7 columnar kernels absorb exactly the per-iteration planning
-    # and index-building overheads the plan cache amortizes, which would
-    # fold the data-plane speedup into a plan-reuse gate.
-    program = RelProgram(options=EngineOptions(plan_cache=plan_cache,
-                                               columnar="off"),
-                         load_stdlib=False)
-    for name, tuples in relations.items():
-        program.define(name, Relation(tuples))
-    program.add_source(source)
-    return program.relation(target), program
+    with plane(plan_cache):
+        program = RelProgram(load_stdlib=False)
+        for name, tuples in relations.items():
+            program.define(name, Relation(tuples))
+        program.add_source(source)
+        return program.relation(target), program
 
 
 def reach(plan_cache):
@@ -73,10 +81,9 @@ PR_MATRIX = pagerank_matrix(10)
 
 
 def pagerank(plan_cache):
-    program = RelProgram(database={"G": PR_MATRIX},
-                         options=EngineOptions(plan_cache=plan_cache,
-                                               columnar="off"))
-    return program.query("PageRank[G]")
+    with plane(plan_cache):
+        program = RelProgram(database={"G": PR_MATRIX})
+        return program.query("PageRank[G]")
 
 
 # -- timings ----------------------------------------------------------------
@@ -142,7 +149,7 @@ def test_shape_prepared_query_reuse_counters():
     """One prepared query over many inputs: after warm-up, re-runs
     compile nothing and hit cached plans (the bench_session_reuse
     composition)."""
-    session = connect(options=EngineOptions(plan_cache=True))
+    session = connect()
     session.load(TC_SOURCE.replace("E(", "In("))
     query = session.query("TCr")
     query.run(In=[(1, 2), (2, 3)])

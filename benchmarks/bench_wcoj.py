@@ -114,9 +114,14 @@ TRIANGLE_RULE = "def Triangle(a, b, c) : Edge(a, b) and Edge(b, c) and Edge(a, c
 
 
 def _session(strategy, edges):
+    """``"auto"``: the shipped join routing; ``"off"``: the per-conjunct
+    fallback scheduler (``oracles.no_multiway``)."""
     import repro
+    from support import oracles
 
-    session = repro.connect(join_strategy=strategy)
+    session = repro.connect()
+    if strategy == "off":
+        session = oracles.under(session, oracles.no_multiway)
     session.define("Edge", edges)
     session.load(TRIANGLE_RULE)
     return session
@@ -125,14 +130,19 @@ def _session(strategy, edges):
 def test_engine_shape_triangle_routed_and_agrees():
     """CI smoke (shape only, no timing): a triangle query through the
     engine takes the multiway-join path — observable via the strategy
-    counter — and matches the per-conjunct fallback scheduler exactly."""
-    routed = _session("auto", HUB)
-    fallback = _session("off", HUB)
-    assert routed.relation("Triangle") == fallback.relation("Triangle")
-    assert routed.join_statistics().get("leapfrog", 0) >= 1, (
-        "hub triangle query should route through leapfrog"
-    )
-    assert fallback.join_statistics() == {}
+    counter — and matches the per-conjunct fallback scheduler exactly.
+    On the row plane: the columnar probe would otherwise take the typed
+    hub join before the strategy choice is made."""
+    from support import oracles
+
+    with oracles.row_plane():
+        routed = _session("auto", HUB)
+        fallback = _session("off", HUB)
+        assert routed.relation("Triangle") == fallback.relation("Triangle")
+        assert routed.join_statistics().get("leapfrog", 0) >= 1, (
+            "hub triangle query should route through leapfrog"
+        )
+        assert fallback.join_statistics() == {}
 
 
 def test_engine_shape_wcoj_beats_fallback_on_hub():

@@ -8,7 +8,14 @@ Shape assertions (who wins, roughly by how much) live in the benchmark
 bodies so a regression in the claim fails the suite, not just the timings.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The oracle managers live with the tests (tests/support/oracles.py):
+#     from support import oracles
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def pytest_benchmark_update_machine_info(config, machine_info):

@@ -265,6 +265,7 @@ def scaled_timings():
 
 def main() -> int:
     sys.path.insert(0, str(Path(__file__).parent))
+    sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
     gates = [plan_reuse_gate(), wcoj_gate()]
     gates.extend(incremental_gates())
     gates.append(session_gate())

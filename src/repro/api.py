@@ -44,7 +44,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
@@ -302,9 +301,6 @@ class Session:
                  load_stdlib: bool = True,
                  enforce_gnf: bool = False,
                  options: Optional[EngineOptions] = None,
-                 join_strategy: Optional[str] = None,
-                 maintenance: Optional[str] = None,
-                 columnar: Optional[str] = None,
                  threads: Optional[int] = None,
                  queue_limit: Optional[int] = None,
                  admission: str = "block",
@@ -357,15 +353,6 @@ class Session:
             # invalidation each.
             for name, rel in recovered.base.items():
                 self.database.install(name, rel)
-        # The session owns a private copy of its options: a caller-supplied
-        # object may be shared with other sessions/programs and must not be
-        # affected by this session's knobs (join_strategy here or via the
-        # property setter, which mutates in place). dataclasses.replace
-        # runs EngineOptions.__post_init__, which validates the overrides.
-        overrides = {name: value for name, value in (
-            ("join_strategy", join_strategy), ("maintenance", maintenance),
-            ("columnar", columnar)) if value is not None}
-        options = dataclasses.replace(options or EngineOptions(), **overrides)
         self.program = RelProgram(
             database=self.database.as_mapping(),
             load_stdlib=load_stdlib,
@@ -419,8 +406,8 @@ class Session:
         """Insert tuples into a base relation (created on the spot).
 
         Dependent materialized extents are maintained incrementally (delta
-        propagation through the stratified fixpoint) when the session's
-        maintenance mode and the occurrence analysis allow it. An empty or
+        propagation through the stratified fixpoint) when the delta size
+        and the occurrence analysis allow it. An empty or
         fully-duplicate delta is a true no-op: nothing is re-evaluated."""
         delta = _as_relation(tuples)
         with self._lock:
@@ -834,51 +821,11 @@ class Session:
         an unchanged stratum keeps its count across updates and queries."""
         return self.program.evaluation_counts()
 
-    def _set_option(self, name: str, value: Any) -> None:
-        """Set one engine knob in place. The trial ``dataclasses.replace``
-        runs ``EngineOptions.__post_init__`` (the one validation point);
-        the assignment itself mutates the shared options object, which the
-        live evaluation context holds too."""
-        with self._lock:
-            options = self.program.options
-            dataclasses.replace(options, **{name: value})
-            setattr(options, name, value)
-
-    @property
-    def join_strategy(self) -> str:
-        """The session's conjunction join routing: "auto" (heuristic pick
-        between leapfrog and a binary plan), "leapfrog", "binary", or
-        "off" (per-conjunct fallback scheduler only)."""
-        return self.program.options.join_strategy
-
-    @join_strategy.setter
-    def join_strategy(self, value: str) -> None:
-        # In-place on the program's options — the live evaluation context
-        # holds the same object, so the switch takes effect immediately;
-        # the constructor copied them, so no other session is affected
-        # (snapshots copied them too: an already-published snapshot keeps
-        # its routing, the republished one picks the new value up).
-        with self._lock:
-            self._set_option("join_strategy", value)
-            self._mutated()
-
     def join_statistics(self) -> Dict[str, int]:
         """How many conjunctions were evaluated by the multiway-join path,
         per strategy ("leapfrog" / "binary") — the explain counter for
         checking that a query hit the worst-case-optimal path."""
         return self.program.join_statistics()
-
-    @property
-    def maintenance(self) -> str:
-        """How updates reach materialized derived extents: "auto" (delta
-        propagation with a size heuristic), "delta" (always propagate
-        deltas, per-stratum recompute only where the occurrence analysis
-        requires it), or "recompute" (legacy drop-and-recompute)."""
-        return self.program.options.maintenance
-
-    @maintenance.setter
-    def maintenance(self, value: str) -> None:
-        self._set_option("maintenance", value)
 
     def plan_statistics(self) -> Dict[str, int]:
         """Plan-cache explain counters ("compiled", "hits", "fallbacks",
@@ -889,22 +836,6 @@ class Session:
         drop exactly the dependent plans (stratum-level invalidation);
         data updates leave plans warm."""
         return self.program.plan_statistics()
-
-    @property
-    def columnar(self) -> str:
-        """The session's columnar data plane knob: "auto" (vectorized
-        kernels when every participating column is typed and the input is
-        large enough to amortize), "on" (kernels whenever the columns are
-        typeable, any size), or "off" (row-at-a-time interpretation
-        only). Results are identical in all three modes."""
-        return self.program.options.columnar
-
-    @columnar.setter
-    def columnar(self, value: str) -> None:
-        # In-place on the program's options, like join_strategy: kernels
-        # consult the knob at evaluation time, so the switch takes effect
-        # immediately; results never change, only the execution path.
-        self._set_option("columnar", value)
 
     def columnar_statistics(self) -> Dict[str, int]:
         """Columnar-kernel explain counters: per-kernel hit counts

@@ -88,27 +88,16 @@ def _fresh(prefix: str) -> str:
 # Columnar kernel routing (repro.model.columns)
 # ---------------------------------------------------------------------------
 
-#: Under ``columnar="auto"`` the vectorized kernels only engage above this
-#: input size — below it the Python→numpy round-trip costs more than it
-#: saves. ``"on"`` ignores the threshold, so the differential suite can
-#: exercise the kernels on arbitrarily small tables.
+#: The vectorized kernels only engage at or above this input size — below
+#: it the Python→numpy round-trip costs more than it saves.
 _COLUMNAR_MIN_ROWS = 64
 
 
-def _columnar_mode(ctx) -> str:
-    """The effective columnar knob: "off" whenever the session disables it
-    or the typed plane is unavailable (no numpy / REPRO_COLUMNAR=off)."""
-    options = getattr(ctx, "options", None)
-    mode = getattr(options, "columnar", "off") if options is not None else "off"
-    if mode == "off" or not _columns.available():
-        return "off"
-    return mode
-
-
-def _kernel_wanted(mode: str, n: int) -> bool:
-    if mode == "on":
-        return True
-    return mode == "auto" and n >= _COLUMNAR_MIN_ROWS
+def _kernel_wanted(n: int) -> bool:
+    """Route an input of ``n`` rows through the columnar kernels: large
+    enough to amortize, and the typed plane available (numpy present, not
+    ablated by ``REPRO_COLUMNAR=off``)."""
+    return n >= _COLUMNAR_MIN_ROWS and _columns.available()
 
 
 def _count_columnar(ctx, event: str) -> None:
@@ -133,10 +122,10 @@ def _budget_checkpoint() -> None:
 
 def _dedupe(table: Table, ctx) -> Table:
     """:meth:`Table.dedupe` routed through the columnar kernel when the
-    knob and input size allow — the result is identical either way."""
+    input size allows — the result is identical either way."""
     if table.distinct:
         return table
-    if len(table) and _kernel_wanted(_columnar_mode(ctx), len(table)):
+    if len(table) and _kernel_wanted(len(table)):
         _budget_checkpoint()
         result = dedupe_table(table)
         if result is not None:
@@ -152,7 +141,7 @@ def _project(table: Table, keep: Sequence[str], ctx) -> Table:
     Sized checks only (``len``, never ``.rows``): a columnar-backed table
     must reach :func:`project_table` unmaterialized for the vectorized
     fast path to pay off."""
-    if len(table) and _kernel_wanted(_columnar_mode(ctx), len(table)):
+    if len(table) and _kernel_wanted(len(table)):
         _budget_checkpoint()
         result = project_table(table, keep)
         if result is not None:
@@ -165,7 +154,7 @@ def _project(table: Table, keep: Sequence[str], ctx) -> Table:
 def _union(tables: List[Table], cols: Tuple[str, ...], ctx) -> Table:
     """:func:`union_tables` routed through the columnar kernel."""
     total = sum(len(t) for t in tables)
-    if total and _kernel_wanted(_columnar_mode(ctx), total):
+    if total and _kernel_wanted(total):
         _budget_checkpoint()
         result = union_tables_typed(tables, cols)
         if result is not None:
@@ -351,27 +340,20 @@ def _expand_conjunction(node: ast.Node, table: Table, frame: Frame, ctx) -> Tabl
 
 def _plan_state(ctx, table: Table, frame: Frame, anchor):
     """The (state, plan key) pair for plan caching — (None, None) when the
-    plan cache is off or unavailable for this call.
+    plan cache is unavailable for this call.
 
-    The key is the anchor's identity (a stable AST node or compiled rule),
-    the *bound-variable pattern* (which scope variables the incoming table
-    already binds — delta variants share anchors with nothing, and
-    demanded-head lookups get their own patterns), and the join-strategy
-    knob (routing decisions are recorded in the plan)."""
+    The key is the anchor's identity (a stable AST node or compiled rule)
+    and the *bound-variable pattern* (which scope variables the incoming
+    table already binds — delta variants share anchors with nothing, and
+    demanded-head lookups get their own patterns). A recorded multiway
+    extraction picks its join strategy afresh on every replay."""
     if anchor is None or not len(table):
-        return None, None
-    options = getattr(ctx, "options", None)
-    if options is None or not getattr(options, "plan_cache", False):
         return None, None
     state = getattr(ctx, "state", None)
     if state is None or not hasattr(state, "plan_lookup"):
         return None, None
-    key = (
-        id(anchor),
-        frozenset(c for c in table.cols if c in frame.scope),
-        getattr(options, "join_strategy", "off"),
-    )
-    return state, key
+    return state, (id(anchor),
+                   frozenset(c for c in table.cols if c in frame.scope))
 
 
 def _absorb_conjunct(expanded: Table, slot: Optional[int],
@@ -607,10 +589,6 @@ def _schedule_multiway(pending, table: Table, frame: Frame, ctx):
     empty payloads (they are full applications), so their payload slots
     need no stash columns.
     """
-    options = getattr(ctx, "options", None)
-    strategy = getattr(options, "join_strategy", "off")
-    if strategy not in ("auto", "leapfrog", "binary"):
-        return table, pending, None
     specs = []
     for i, (orig, _, node) in enumerate(pending):
         spec = _join_atom_spec(node, frame, ctx)
@@ -684,15 +662,13 @@ def _attach_multiway(atoms: List[joins_planner.Atom],
             return None
         atoms.append(joins_planner.Atom(tuple(rows), tuple(shared)))
 
-    options = getattr(ctx, "options", None)
     state = getattr(ctx, "state", None)
     new = [v for v in join_vars if v not in table.cols]
     output = tuple(shared) + tuple(new)
 
     result = None
     result_cols = None
-    mode = _columnar_mode(ctx)
-    if _kernel_wanted(mode, sum(len(a.rows) for a in atoms)):
+    if _kernel_wanted(sum(len(a.rows) for a in atoms)):
         # Vectorized probe first: every participating column typed means
         # the whole join runs as numpy kernels; any untypeable atom makes
         # it decline and the interpreted strategies below take over. The
@@ -712,16 +688,13 @@ def _attach_multiway(atoms: List[joins_planner.Atom],
             _count_columnar(ctx, "join_fallback")
 
     if result is None and result_cols is None:
-        strategy = getattr(options, "join_strategy", "off")
-        if strategy == "auto":
-            strategy = joins_planner.choose_strategy(atoms)
+        strategy = joins_planner.choose_strategy(atoms)
         trie_builder = None
         index_builder = None
         if state is not None:
             if strategy == "leapfrog" and hasattr(state, "sorted_trie"):
                 trie_builder = state.sorted_trie
-            if strategy == "binary" and hasattr(state, "atom_index") \
-                    and getattr(options, "plan_cache", False):
+            if strategy == "binary" and hasattr(state, "atom_index"):
                 index_builder = state.atom_index
         # Every atom handed over is row_key-distinct (relation-backed rows,
         # deduplicated spec projections, deduplicated binding-table atom), so
@@ -1028,7 +1001,7 @@ def _compare_filter_kernel(t2: Table, li: int, op: str,
     interning codes are not lexicographic — or a non-scalar operand, whose
     user-facing error the interpreted loop raises)."""
     rows = t2.rows
-    if not rows or not _kernel_wanted(_columnar_mode(ctx), len(rows)):
+    if not rows or not _kernel_wanted(len(rows)):
         return None
     lvals: List[Any] = []
     rvals: List[Any] = []
@@ -1897,7 +1870,7 @@ def _fold(op, values: List[Any], frame: Frame, ctx) -> Optional[Any]:
                     key=lambda v: (0, v) if isinstance(v, (int, float))
                     and not isinstance(v, bool) else (1, str(v)))
     if isinstance(op, Builtin) \
-            and _kernel_wanted(_columnar_mode(ctx), len(values)):
+            and _kernel_wanted(len(values)):
         # C-level fold for the numeric aggregates; identical left-to-right
         # fold, so bit-identical to chaining the binary builtin below.
         fast = _columns.fold_values(op.name, values)
@@ -2842,7 +2815,7 @@ def _eval_rule_result(rule: Rule, env: Env, ctx,
     locals_, guards, positional = _rule_skeleton(rule, ctx)
     frame = Frame(env, frozenset(locals_))
     if seed is not None:
-        table, post = _seed_table(rule, positional, seed, ctx), ()
+        table, post = _seed_table(rule, positional, seed), ()
     else:
         pre, post = align_demand(positional, demand, full_arity)
         if pre is None:
@@ -2862,14 +2835,14 @@ def _eval_rule_result(rule: Rule, env: Env, ctx,
     return result, positional, post, frame
 
 
-def _seed_table(rule: Rule, positional, seed: Relation, ctx) -> Table:
+def _seed_table(rule: Rule, positional, seed: Relation) -> Table:
     """One row per seed row, one column per head variable (a repeated
     variable is already aliased apart, its guard re-checking equality)."""
     if seed.arities() != {len(positional)} or not all(
             isinstance(b, ast.VarBinding) for b in positional):
         raise SafetyError(f"rule {rule.name}: head cannot be seeded")
     cols = tuple(b.name for b in positional)
-    if cols and _columnar_mode(ctx) != "off" and seed.columns() is not None:
+    if cols and _columns.available() and seed.columns() is not None:
         return Table.from_columns(cols, (), seed.columns(), ())
     return Table(cols, [row + ((),) for row in seed.rows()], distinct=True)
 

@@ -32,7 +32,7 @@ identical to fresh interpretation — the randomized agreement suite in
 ``tests/engine/test_plan_cache.py`` pins this.
 
 Plans live in :class:`repro.engine.program.EvalState` (keyed by anchor
-identity, bound-variable pattern, and join strategy) so semi-naive
+identity and bound-variable pattern) so semi-naive
 iterations, the PR-3 delta drivers, and prepared-query re-evaluation all
 share them; ``Session.plan_statistics()`` exposes the
 compile/hit/fallback/invalidate counters.

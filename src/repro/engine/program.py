@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import sys
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -60,65 +59,20 @@ if sys.getrecursionlimit() < 100_000:
 
 @dataclasses.dataclass
 class EngineOptions:
-    """The evaluation limit and the engine's oracle paths.
+    """The evaluation limit.
 
     ``max_global_iterations`` caps every fixpoint loop (a stratum, an
     insert or over-delete maintenance pass, and a second-order instance),
-    raising :class:`ConvergenceError` past it. The other fields select an
-    alternative evaluation path the default must agree with — the
-    differential tests run both sides."""
+    raising :class:`ConvergenceError` past it."""
 
     max_global_iterations: int = 100_000
-    #: Multiway-join routing for conjunctions of positive atoms over
-    #: materialized relations: "auto" picks leapfrog vs. a greedy binary
-    #: plan per conjunction (cardinality/cyclicity heuristic), "leapfrog" /
-    #: "binary" force one strategy, "off" keeps the per-conjunct fallback
-    #: scheduler only.
-    join_strategy: str = "auto"
-    #: How base-relation updates reach materialized derived extents:
-    #: "delta" propagates insert/delete deltas through the stratified
-    #: fixpoint (semi-naive for inserts, DRed delete-rederive for deletes),
-    #: recomputing only the strata the occurrence analysis marks ineligible
-    #: (negation, aggregation, non-monotone contexts over the changed
-    #: names); "recompute" keeps the legacy drop-dependent-extents
-    #: behavior; "auto" is "delta" for small deltas and falls back to
-    #: "recompute" when the delta is a large fraction of the relation.
-    maintenance: str = "auto"
-    #: Compile rule bodies and query conjunctions to cached executable
-    #: plans (conjunct order + multiway-join extraction + hash-join
-    #: indexes), replayed across fixpoint iterations, maintenance passes,
-    #: and prepared-query re-runs. Plans are invalidated stratum-level on
-    #: rule changes and fall back to fresh interpretation whenever they no
-    #: longer fit. "False" re-interprets every evaluation from the AST
-    #: (ablation: benchmarks/bench_plan_cache.py).
-    plan_cache: bool = True
-    #: Columnar data plane (repro.model.columns): vectorized join probe,
-    #: dedupe/project, filter and aggregate kernels over typed column
-    #: vectors. "auto" routes through the kernels when every participating
-    #: column is typed and the input is large enough to amortize the
-    #: numpy round-trip; "on" forces the kernels whenever the columns are
-    #: typeable (any size — used by the differential tests); "off"
-    #: interprets everything row-at-a-time. The environment variable
-    #: ``REPRO_COLUMNAR`` overrides the default (CI ablation).
-    columnar: str = dataclasses.field(
-        default_factory=lambda: os.environ.get("REPRO_COLUMNAR", "auto").lower() or "auto")
 
-    def __post_init__(self) -> None:
-        if self.join_strategy not in ("auto", "leapfrog", "binary", "off"):
-            raise ValueError(
-                f"unknown join strategy {self.join_strategy!r}; expected "
-                f"'auto', 'leapfrog', 'binary', or 'off'"
-            )
-        if self.maintenance not in ("auto", "delta", "recompute"):
-            raise ValueError(
-                f"unknown maintenance mode {self.maintenance!r}; expected "
-                f"'auto', 'delta', or 'recompute'"
-            )
-        if self.columnar not in ("auto", "on", "off"):
-            raise ValueError(
-                f"unknown columnar mode {self.columnar!r}; expected "
-                f"'auto', 'on', or 'off'"
-            )
+
+def _delta_replaces_most(plus: Relation, minus: Relation, old: Relation,
+                         new: Relation) -> bool:
+    """The update replaces most of the relation: recomputing the dependent
+    strata is at least as cheap as delta propagation."""
+    return len(plus) + len(minus) > max(8, (len(old) + len(new)) // 2)
 
 
 @contextlib.contextmanager
@@ -861,7 +815,7 @@ class RelProgram:
 
         Replacing an existing relation computes the insert/delete deltas and
         maintains dependent materialized extents incrementally when the
-        maintenance mode and occurrence analysis allow it; otherwise only
+        delta size and occurrence analysis allow it; otherwise only
         the strata that (transitively) depend on it are dirtied. Everything
         else keeps its computed extent and instance memos."""
         self._apply_updates_inner({name: (self._base.get(name), relation)})
@@ -1359,9 +1313,9 @@ class RelProgram:
     #
     # The paper's engine (Section 5) keeps derived relations consistent
     # under base-relation updates. Instead of dropping every dependent
-    # extent and recomputing (the `maintenance="recompute"` path), the
-    # driver below walks the affected SCC strata in topological order and,
-    # per stratum:
+    # extent and recomputing (what :meth:`apply_updates` falls back to when
+    # :meth:`_try_maintain` declines), the maintenance pass below walks the
+    # affected SCC strata in topological order and, per stratum:
     #
     # - **inserts** run the delta rounds of :meth:`_delta_rounds` (the same
     #   ``__delta__<name>`` rewrites materialisation uses) seeded with the
@@ -1440,9 +1394,6 @@ class RelProgram:
         been brought up to date (possibly via per-stratum recompute
         fallbacks); False means the caller should fall back to
         drop-and-recompute invalidation."""
-        mode = self.options.maintenance
-        if mode == "recompute":
-            return False
         state = self._state
         if state is None:
             return False
@@ -1457,10 +1408,7 @@ class RelProgram:
             minus = old.difference(new)
             if not plus and not minus:
                 continue
-            if mode == "auto" and \
-                    len(plus) + len(minus) > max(8, (len(old) + len(new)) // 2):
-                # The update replaces most of the relation: recomputing the
-                # dependent strata is at least as cheap as delta propagation.
+            if _delta_replaces_most(plus, minus, old, new):
                 return False
             deltas[name] = (plus, minus)
             pre[name] = old

@@ -57,9 +57,8 @@ TAGS = ("bool", "int", "float", "str")
 #: int×float join without losing exactness.
 _EXACT_FLOAT_INT = 2 ** 53
 
-#: ``REPRO_COLUMNAR=off`` disables every kernel process-wide (the CI
-#: ablation job); any other value leaves them available and the per-session
-#: ``EngineOptions.columnar`` knob in charge.
+#: ``REPRO_COLUMNAR=off`` disables every kernel process-wide: the CI
+#: ablation job's in-process stand-in for a missing numpy.
 KERNELS_AVAILABLE = (_np is not None
                      and os.environ.get("REPRO_COLUMNAR", "").lower() != "off")
 

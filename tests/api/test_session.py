@@ -214,16 +214,6 @@ class TestIntrospection:
 
 
 class TestEngineKnobs:
-    def test_setters_validate_then_assign_in_place(self):
-        s = connect(load_stdlib=False)
-        options = s.program.options
-        with pytest.raises(ValueError, match="maintenance"):
-            s.maintenance = "bogus"
-        assert options.maintenance == "auto"
-        s.maintenance = "delta"
-        assert s.program.options is options
-        assert options.maintenance == "delta"
-
     def test_unknown_keyword_is_rejected(self):
         with pytest.raises(TypeError):
             connect(load_stdlib=False, workers=2)

@@ -9,8 +9,6 @@ view gets its own zeroed counters and never creates or bumps counters in
 the parent session).
 """
 
-import pytest
-
 from repro import Relation, connect
 
 
@@ -143,12 +141,6 @@ class TestFromSnapshot:
         session.insert("E", [(3, 4)])
         assert snapshot.statistics()["E"]["rows"] == 2
         assert session.statistics()["E"]["rows"] == 3
-
-    def test_invalid_modes_still_rejected_on_connect(self):
-        with pytest.raises(ValueError):
-            connect(join_strategy="bogus")
-        with pytest.raises(ValueError):
-            connect(maintenance="bogus")
 
 
 class TestStorageStatistics:

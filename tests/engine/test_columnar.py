@@ -3,10 +3,10 @@
 The typed columnar kernels are an *implementation* of the same semantics
 as the interpreted row loops — every result, on every program, after
 every update, must be bit-for-bit the same relation. These tests run the
-shared random-program and random-update generators twice, with
-``columnar="on"`` (kernels forced at any size) and ``columnar="off"``
-(kernels disabled), and demand identical answers; counter tests pin that
-the "on" session actually exercised the kernels, so agreement is not
+shared random-program and random-update generators twice, under
+``oracles.kernels_forced`` (kernels at any size) and ``oracles.row_plane``
+(kernels never), and demand identical answers; counter tests pin that
+the forced session actually exercised the kernels, so agreement is not
 vacuous. Value-semantics pins (``True != 1``, ``1 == 1.0``, mixed-arity
 fallback) guard the exact cases a naive numpy port would get wrong.
 
@@ -18,11 +18,11 @@ over-delete/re-derive path — and through snapshot reads, plus the same
 value-semantics pins routed through the lazy-dict funnel.
 """
 
-import os
 import random
 
 import pytest
 
+from support import oracles
 from support.generators import (SCRIPT_ARITIES, SCRIPT_BASE, SCRIPT_QUERIES,
                                 SCRIPT_RULES, random_program,
                                 random_update_op)
@@ -37,11 +37,21 @@ kernels = pytest.mark.skipif(
 N_PROGRAMS = 40
 N_SCRIPTS = 12
 
+#: "on": kernels at any input size; "off": never; "auto": as shipped.
+MODES = {"on": (oracles.kernels_forced,), "off": (oracles.row_plane,),
+         "auto": ()}
+
+
+def _connect(mode, *paths, **kwargs):
+    """A session whose every call runs under ``mode``'s oracle and
+    ``paths``."""
+    return oracles.under(connect(**kwargs), *MODES[mode], *paths)
+
 
 def _pair(program):
     sessions = []
     for mode in ("on", "off"):
-        session = connect(load_stdlib=program.uses_stdlib, columnar=mode)
+        session = _connect(mode, load_stdlib=program.uses_stdlib)
         for name, rel in program.base.items():
             session.define(name, rel)
         session.load(program.source)
@@ -49,23 +59,7 @@ def _pair(program):
     return sessions
 
 
-class TestKnob:
-    def test_connect_validates_mode(self):
-        with pytest.raises(ValueError, match="columnar"):
-            connect(columnar="sideways")
-        assert connect(columnar="on").columnar == "on"
-
-    def test_default_is_auto_and_settable(self):
-        # REPRO_COLUMNAR overrides the default (the CI ablation job runs
-        # the whole suite with it set to "off").
-        expected = os.environ.get("REPRO_COLUMNAR", "").lower() or "auto"
-        session = connect()
-        assert session.columnar == expected
-        session.columnar = "off"
-        assert session.columnar == "off"
-        with pytest.raises(ValueError, match="columnar"):
-            session.columnar = "sideways"
-
+class TestStatistics:
     def test_statistics_shape(self):
         session = connect(load_stdlib=False)
         session.define("E", [(1, 2), (2, 3)])
@@ -80,7 +74,7 @@ class TestKnob:
 @kernels
 class TestCounters:
     def test_forced_on_counts_kernel_events(self):
-        session = connect(columnar="on")
+        session = _connect("on")
         session.define("E", [(i, i + 1) for i in range(8)] + [(3, 1)])
         session.load("def P(x, z) : exists((y) | E(x, y) and E(y, z))")
         session.relation("P")
@@ -89,7 +83,7 @@ class TestCounters:
         assert session.join_statistics().get("columnar", 0) >= 1
 
     def test_off_counts_nothing(self):
-        session = connect(columnar="off")
+        session = _connect("off")
         session.define("E", [(i, i + 1) for i in range(8)])
         session.load("def P(x, z) : exists((y) | E(x, y) and E(y, z))")
         session.relation("P")
@@ -97,20 +91,20 @@ class TestCounters:
         assert "columnar" not in session.join_statistics()
 
     def test_auto_engages_only_past_the_size_floor(self):
-        small = connect(columnar="auto")
+        small = _connect("auto")
         small.define("E", [(1, 2), (2, 3)])
         small.load("def P(x, z) : exists((y) | E(x, y) and E(y, z))")
         small.relation("P")
         assert small.columnar_statistics().get("join", 0) == 0
 
-        big = connect(columnar="auto")
+        big = _connect("auto")
         big.define("E", [(i, (i * 7 + 1) % 90) for i in range(150)])
         big.load("def P(x, z) : exists((y) | E(x, y) and E(y, z))")
         big.relation("P")
         assert big.columnar_statistics().get("join", 0) >= 1
 
     def test_fallback_events_are_counted_not_fatal(self):
-        session = connect(columnar="on")
+        session = _connect("on")
         session.define("E", [(1, Relation([(2,)]))])  # untypeable column
         session.load("def P(x, r) : E(x, r)")
         session.load("def Q(x, z) : exists((r) | P(x, r) and E(x, r) "
@@ -119,7 +113,7 @@ class TestCounters:
         assert session.columnar_statistics().get("join_fallback", 0) >= 1
 
     def test_snapshot_counters_are_private(self):
-        session = connect(columnar="on")
+        session = _connect("on")
         session.define("E", [(i, i + 1) for i in range(6)])
         session.load("def P(x, z) : exists((y) | E(x, y) and E(y, z))")
         session.relation("P")
@@ -134,7 +128,7 @@ class TestCounters:
 class TestValueSemanticsPins:
     def test_true_and_one_stay_distinct(self):
         for mode in ("on", "off"):
-            session = connect(columnar=mode)
+            session = _connect(mode)
             session.define("B", [(True,), (1,)])
             session.load("def D(x) : B(x) and B(x)")
             rows = list(session.relation("D").rows())
@@ -143,7 +137,7 @@ class TestValueSemanticsPins:
 
     def test_one_and_one_point_zero_merge(self):
         for mode in ("on", "off"):
-            session = connect(columnar=mode)
+            session = _connect(mode)
             session.define("N", [(1,), (2.5,)])
             session.define("M", [(1.0,), (2.5,)])
             session.load("def J(x) : N(x) and M(x)")
@@ -152,7 +146,7 @@ class TestValueSemanticsPins:
     def test_mixed_arity_relation_falls_back_correctly(self):
         results = []
         for mode in ("on", "off"):
-            session = connect(columnar=mode)
+            session = _connect(mode)
             session.define("R", [(1, 2), (2, 3), (1, 2, 3)])
             session.load("def M(x, z) : exists((y) | R(x, y) and R(y, z))")
             results.append(session.relation("M"))
@@ -161,7 +155,7 @@ class TestValueSemanticsPins:
 
     def test_bool_filter_agrees(self):
         for mode in ("on", "off"):
-            session = connect(columnar=mode)
+            session = _connect(mode)
             session.define("U", [(True,), (False,), (1,), (0,), (2,)])
             session.load("def Eq(x) : U(x) and x = 1\n"
                          "def Ne(x) : U(x) and x != 1")
@@ -192,11 +186,11 @@ class TestDifferentialUpdateScripts:
         """Random insert/delete scripts over the shared catalog: after
         every step, every probe query and every derived extent must
         match between the columnar and dict planes (the incremental
-        deltas flow through the kernels under ``columnar="on"``)."""
+        deltas flow through the forced kernels)."""
         rng = random.Random(30_000 + seed)
         sessions = []
         for mode in ("on", "off"):
-            session = connect(columnar=mode)
+            session = _connect(mode)
             for name, rows in SCRIPT_BASE.items():
                 session.define(name, rows)
             session.load(SCRIPT_RULES)
@@ -234,7 +228,7 @@ class TestNativeExtentCounters:
     plane)."""
 
     def test_fixpoint_emits_native_relations(self):
-        session = connect(columnar="on", load_stdlib=False)
+        session = _connect("on", load_stdlib=False)
         session.define("E", [(i, (i * 3 + 1) % 40) for i in range(120)])
         session.load(TC_RULES)
         session.relation("TCr")
@@ -286,7 +280,7 @@ class TestLazyDictValueSemantics:
 class TestNativeMaintenanceDifferential:
     """Columnar-native derived extents through incremental maintenance:
     the semi-naive insert path and the DRed delete path both run on
-    native extents under ``columnar="on"`` and must match the row plane
+    native extents with the kernels forced and must match the row plane
     step for step."""
 
     @pytest.mark.parametrize("seed", range(6))
@@ -294,7 +288,7 @@ class TestNativeMaintenanceDifferential:
         rng = random.Random(40_000 + seed)
         sessions = []
         for mode in ("on", "off"):
-            session = connect(columnar=mode, maintenance="delta")
+            session = _connect(mode, oracles.always_delta)
             for name, rows in SCRIPT_BASE.items():
                 session.define(name, rows)
             session.load(SCRIPT_RULES)
@@ -324,8 +318,8 @@ class TestNativeMaintenanceDifferential:
         edges = [(i, i + 1) for i in range(1, 80)] + [(80, 1)]
         sessions = []
         for mode in ("on", "off"):
-            session = connect(columnar=mode, maintenance="delta",
-                              load_stdlib=False)
+            session = _connect(mode, oracles.always_delta,
+                               load_stdlib=False)
             session.define("E", edges)
             session.load(TC_RULES)
             session.relation("TCr")  # warm the fixpoint
@@ -337,7 +331,7 @@ class TestNativeMaintenanceDifferential:
         maint = columnar.maintenance_statistics()
         assert maint.get("overdeleted_tuples", 0) >= 1, maint
         assert maint.get("rederived_tuples", 0) >= 1, maint
-        fresh = connect(columnar="on", load_stdlib=False)
+        fresh = _connect("on", load_stdlib=False)
         fresh.define("E", [(i, i + 1) for i in range(1, 80)])
         fresh.load(TC_RULES)
         assert columnar.relation("TCr") == fresh.relation("TCr")
@@ -353,7 +347,7 @@ class TestSnapshotNativeReads:
     def _warm_pair(self):
         sessions = []
         for mode in ("on", "off"):
-            session = connect(columnar=mode, load_stdlib=False)
+            session = _connect(mode, load_stdlib=False)
             session.define("E", [(i, (i * 3 + 1) % 40) for i in range(120)])
             session.load(TC_RULES)
             session.relation("TCr")

@@ -4,21 +4,23 @@ The harness of the PR-5 tentpole: N reader threads run queries against
 :meth:`Session.snapshot` views while a writer applies a seeded
 insert/delete script. Every observation is recorded as ``(snapshot
 version, query, result)``; after the interleaving, each one is checked
-against a **from-scratch oracle** — a fresh recompute-mode session built
-from the exact base state the writer had published at that version. A
-snapshot opened mid-write-burst must therefore match a full rebuild of
-its generation vector, bit for bit.
+against a **from-scratch oracle** — a fresh session built from the exact
+base state the writer had published at that version, with no write after
+it first evaluates. A snapshot opened mid-write-burst must therefore
+match a full rebuild of its generation vector, bit for bit.
 
 Thread count comes from ``REPRO_STRESS_THREADS`` (default 4); CI runs the
 suite a second time with it forced to 8.
 """
 
+import contextlib
 import os
 import random
 import threading
 
 import pytest
 
+from support import oracles
 from support.generators import random_update_op
 
 from repro import Relation, connect
@@ -48,6 +50,14 @@ ARITIES = {"E": 2, "S": 1, "V": 1}
 QUERIES = ["Path", "Path[1]", "Reach", "Lonely", "Big", "Both"]
 
 
+@pytest.fixture
+def hold():
+    """An exit stack open for the whole test: an oracle entered on it
+    covers every thread the test starts (a patch is process-wide)."""
+    with contextlib.ExitStack() as stack:
+        yield stack
+
+
 def make_session(**kwargs):
     session = connect(load_stdlib=False, **kwargs)
     for name, tuples in BASE.items():
@@ -57,8 +67,9 @@ def make_session(**kwargs):
 
 
 def oracle_session(base):
-    """A genuinely fresh from-scratch evaluation of one base state."""
-    session = connect(load_stdlib=False, maintenance="recompute")
+    """A genuinely fresh from-scratch evaluation of one base state: every
+    write precedes the first read, so nothing is maintained."""
+    session = connect(load_stdlib=False)
     for name, rel in base.items():
         session.define(name, rel)
     session.load(RULES)
@@ -67,9 +78,11 @@ def oracle_session(base):
 
 class TestRandomizedStress:
     @pytest.mark.parametrize("seed", range(30))
-    def test_snapshot_reads_match_generation_oracle(self, seed):
+    def test_snapshot_reads_match_generation_oracle(self, seed, hold):
         rng = random.Random(seed)
-        session = make_session(maintenance=rng.choice(["delta", "auto"]))
+        if rng.choice(["delta", "auto"]) == "delta":
+            hold.enter_context(oracles.always_delta())
+        session = make_session()
         session.relation("Path")  # materialize before the burst
         session.snapshot()        # switch on eager publication
 
@@ -131,10 +144,11 @@ class TestRandomizedStress:
                     (seed, version, query, "non-deterministic snapshot read")
                 assert next(iter(results)) == want, (seed, version, query)
 
-    def test_concurrent_direct_writers_are_serialized(self):
+    def test_concurrent_direct_writers_are_serialized(self, hold):
         """Direct Session writes from many threads: no lost updates, and
         the final closure equals the from-scratch evaluation."""
-        session = make_session(maintenance="delta")
+        hold.enter_context(oracles.always_delta())
+        session = make_session()
         session.relation("Path")
 
         def writer(base):
@@ -218,10 +232,11 @@ class TestSnapshotIsolation:
 
 
 class TestQueryServerStress:
-    def test_server_reads_during_write_burst(self):
+    def test_server_reads_during_write_burst(self, hold):
         """Pool reads racing a writer thread: every result must equal the
         oracle of one *published* version (never a half-applied state)."""
-        session = make_session(maintenance="delta", threads=THREADS)
+        hold.enter_context(oracles.always_delta())
+        session = make_session(threads=THREADS)
         session.relation("Path")
         server = session.server
 

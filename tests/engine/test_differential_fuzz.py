@@ -6,8 +6,8 @@ Programs come from the shared generator
 small random base relations, mixing joins, projection, comparison
 filters, stratified negation, unions, positive recursion, and (stdlib)
 aggregation / second-order ``TC``. Every program runs on two engines —
-plan cache on (compiled plans replayed) and off (pure AST
-interpretation) — and, where the fragment is expressible, against
+as shipped (compiled plans replayed) and under ``oracles.interpreted``
+(pure AST interpretation) — and, where the fragment is expressible, against
 ``repro.engine.reference`` evaluated as a naive stratified fixpoint (the
 Figure 3–4 equations applied verbatim).
 
@@ -19,19 +19,19 @@ import random
 
 import pytest
 
+from support import oracles
 from support.generators import random_program, reference_extents
 
 from repro import connect
-from repro.engine.program import EngineOptions
 
 N_PROGRAMS = 100
 
 
 def _sessions(program):
     pair = []
-    for plan_cache in (True, False):
-        session = connect(load_stdlib=program.uses_stdlib,
-                          options=EngineOptions(plan_cache=plan_cache))
+    for paths in ((), (oracles.interpreted,)):
+        session = oracles.under(connect(load_stdlib=program.uses_stdlib),
+                                *paths)
         for name, rel in program.base.items():
             session.define(name, rel)
         session.load(program.source)

@@ -6,8 +6,9 @@ sum[{(v) : R(k, v)}]``, ``sum[R[k]]`` per row) is folded in one pass
 The per-group path stays for closures of any other shape and is the oracle
 here: every query runs three ways — the grouped operator, the per-group
 path (recogniser patched to decline), and the Figures 3–4 reference
-evaluator for the groups plus a literal left fold — under ``columnar`` on,
-auto and off (``REPRO_COLUMNAR=off`` sweeps the same file in CI).
+evaluator for the groups plus a literal left fold — with the columnar
+kernels forced (``oracles.kernels_forced``), as shipped, and never
+(``oracles.row_plane``); ``REPRO_COLUMNAR=off`` sweeps the same file in CI.
 """
 
 import heapq
@@ -17,6 +18,8 @@ from collections import deque
 
 import pytest
 
+from support import oracles
+
 from repro import QueryTimeoutError, Relation, connect
 from repro.engine import expand
 from repro.engine.program import EvalContext
@@ -25,6 +28,8 @@ from repro.lang import parse_expression
 from repro.model.values import row_key
 
 MODES = ("on", "auto", "off")
+ORACLES = {"on": (oracles.kernels_forced,), "auto": (),
+           "off": (oracles.row_plane,)}
 
 RULES = """
     def total[{A}] : reduce[add, A]
@@ -101,7 +106,7 @@ def exact(rel):
 
 
 def session_for(env, mode, rules=RULES):
-    session = connect(columnar=mode)
+    session = oracles.under(connect(), *ORACLES[mode])
     for name, rel in env.items():
         session.define(name, rel)
     session.load(rules)

@@ -5,14 +5,23 @@ insert/delete ops over programs with recursion, negation, and aggregation,
 asserting that incrementally maintained extents equal a from-scratch
 rebuild after every op — plus eval-counter assertions that untouched
 strata are never re-evaluated and that empty deltas are true no-ops.
+
+The incremental side runs under ``oracles.always_delta`` (deltas however
+large), the from-scratch side under ``oracles.recompute``; "auto" is the
+shipped behaviour, which recomputes when an update replaces most of a
+relation.
 """
 
 import random
 
 import pytest
 
+from support import oracles
+
 from repro import Relation, connect
-from repro.engine.program import EngineOptions
+
+MODES = {"auto": (), "delta": (oracles.always_delta,),
+         "recompute": (oracles.recompute,)}
 
 RULES = """
     def Path(x, y) : E(x, y)
@@ -40,7 +49,7 @@ BASE = {
 
 
 def make_session(maintenance="delta", base=BASE, rules=RULES):
-    session = connect(maintenance=maintenance)
+    session = oracles.under(connect(), *MODES[maintenance])
     for name, tuples in base.items():
         session.define(name, tuples)
     session.load(rules)
@@ -224,7 +233,7 @@ class TestFirstTouchInserts:
     def test_new_name_referenced_by_rules_still_resets(self):
         """A first definition of a name existing rules refer to can change
         safety/orderability classification — it must take the full path."""
-        session = connect(maintenance="delta")
+        session = oracles.under(connect(), oracles.always_delta)
         session.define("P", [(1,)])
         session.load("def Q(x) : P(x) and Ghost(x)")
         with pytest.raises(Exception):
@@ -293,21 +302,6 @@ class TestTransactionsRouteThroughMaintenance:
 
 
 class TestModesAndOptions:
-    def test_invalid_maintenance_mode_rejected(self):
-        with pytest.raises(ValueError):
-            connect(maintenance="bogus")
-        with pytest.raises(ValueError):
-            EngineOptions(maintenance="bogus")
-        session = make_session("delta")
-        with pytest.raises(ValueError):
-            session.maintenance = "bogus"
-
-    def test_mode_property_roundtrip(self):
-        session = make_session("recompute")
-        assert session.maintenance == "recompute"
-        session.maintenance = "delta"
-        assert session.maintenance == "delta"
-
     def test_recompute_mode_never_reports_delta_strata(self):
         session = make_session("recompute")
         extents(session)

@@ -2,24 +2,25 @@
 
 The agreement suite mirrors tests/engine/test_maintenance.py: randomized
 scripts of queries and updates over programs with recursion, negation,
-aggregation, and second-order application, run twice — once with the plan
-cache on (compiled plans replayed across evaluations) and once with it off
-(every evaluation interpreted from the AST) — asserting identical results
-throughout. Counter pins then prove the cache actually works: fixpoint
-iterations and prepared-query re-runs hit cached plans, data updates leave
-plans warm, rule changes drop exactly the stale ones, and stale-plan
-execution falls back to interpretation instead of failing.
+aggregation, and second-order application, run twice — once as shipped
+(compiled plans replayed across evaluations) and once under
+``oracles.interpreted`` (every evaluation interpreted from the AST) —
+asserting identical results throughout. Counter pins then prove the cache
+actually works: fixpoint iterations and prepared-query re-runs hit cached
+plans, data updates leave plans warm, rule changes drop exactly the stale
+ones, and stale-plan execution falls back to interpretation instead of
+failing.
 """
 
 import random
 
 import pytest
 
+from support import oracles
 from support.generators import (SCRIPT_BASE, SCRIPT_DERIVED, SCRIPT_QUERIES,
                                 SCRIPT_RULES, random_update_op)
 
 from repro import RelProgram, Relation, connect
-from repro.engine.program import EngineOptions
 
 # The rule catalog, base data, update distribution, and query pool are the
 # shared generators of tests/support/generators.py — the same ones driving
@@ -30,9 +31,10 @@ BASE = SCRIPT_BASE
 QUERIES = SCRIPT_QUERIES
 
 
-def make_session(plan_cache, maintenance="auto"):
-    session = connect(options=EngineOptions(plan_cache=plan_cache),
-                      maintenance=maintenance)
+def make_session(*paths):
+    """A session over the shared catalog, every call of it made under
+    ``paths`` (oracle managers; none is the shipped configuration)."""
+    session = oracles.under(connect(), *paths)
     for name, tuples in BASE.items():
         session.define(name, tuples)
     session.load(RULES)
@@ -51,8 +53,8 @@ class TestRandomizedAgreement:
     @pytest.mark.parametrize("seed", range(8))
     def test_script_agreement(self, seed):
         rng = random.Random(seed)
-        compiled = make_session(True)
-        interpreted = make_session(False)
+        compiled = make_session()
+        interpreted = make_session(oracles.interpreted)
         assert extents(compiled) == extents(interpreted)
         for _ in range(10):
             if rng.random() < 0.55:
@@ -73,8 +75,8 @@ class TestRandomizedAgreement:
         """Demanded-head (point-lookup) evaluation gets its own
         bound-variable patterns; results must match interpretation."""
         rng = random.Random(100 + seed)
-        compiled = make_session(True)
-        interpreted = make_session(False)
+        compiled = make_session()
+        interpreted = make_session(oracles.interpreted)
         for _ in range(8):
             a, b = rng.randint(1, 6), rng.randint(1, 6)
             for query in (f"Path[{a}]", f"Path({a}, {b})",
@@ -85,7 +87,7 @@ class TestRandomizedAgreement:
     def test_delta_variant_agreement_under_maintenance(self):
         """The PR-3 delta drivers evaluate rewritten rule bodies; their
         plans must agree with recompute-from-scratch on both settings."""
-        compiled = make_session(True, maintenance="delta")
+        compiled = make_session(oracles.always_delta)
         fresh_base = {n: Relation(t) for n, t in BASE.items()}
         extents(compiled)
         rng = random.Random(7)
@@ -97,7 +99,7 @@ class TestRandomizedAgreement:
             else:
                 compiled.delete("E", tuples)
                 fresh_base["E"] = fresh_base["E"].difference(Relation(tuples))
-            fresh = connect(options=EngineOptions(plan_cache=False))
+            fresh = oracles.under(connect(), oracles.interpreted)
             for name, rel in fresh_base.items():
                 fresh.define(name, rel)
             fresh.load(RULES)
@@ -109,8 +111,7 @@ class TestPlanCachePins:
     rule change, fall back instead of failing."""
 
     def test_fixpoint_iterations_reuse_plans(self):
-        program = RelProgram(options=EngineOptions(plan_cache=True),
-                             load_stdlib=False)
+        program = RelProgram(load_stdlib=False)
         program.define("E", Relation([(i, i + 1) for i in range(1, 40)]))
         program.add_source("""
             def TCr(x, y) : E(x, y)
@@ -127,7 +128,7 @@ class TestPlanCachePins:
         re-evaluates against fresh data through the same cached plans
         (re-running on *unchanged* data is even cheaper — it is served
         straight from the instance memos and evaluates nothing)."""
-        session = connect(options=EngineOptions(plan_cache=True))
+        session = connect()
         session.load("""
             def TCr(x, y) : In(x, y)
             def TCr(x, y) : exists((z) | In(x, z) and TCr(z, y))
@@ -149,7 +150,7 @@ class TestPlanCachePins:
         """insert/delete bump extent generations, not rule generations:
         after the maintenance variants compile once, further updates and
         re-runs must not recompile anything."""
-        session = make_session(True)
+        session = make_session()
         query = session.query("Path[1]")
         query.run()
         # Warm-up: the first insert compiles the maintenance delta-variant
@@ -168,7 +169,7 @@ class TestPlanCachePins:
         assert steady.get("invalidated", 0) == warm.get("invalidated", 0)
 
     def test_rule_change_drops_dependent_plans(self):
-        session = make_session(True)
+        session = make_session()
         query = session.query("Path[1]")
         query.run()
         before = session.plan_statistics()
@@ -183,7 +184,7 @@ class TestPlanCachePins:
     def test_rule_change_keeps_unrelated_plans(self):
         """Stratum-level: adding rules for a name nothing references must
         not drop plans of independent strata."""
-        session = make_session(True)
+        session = make_session()
         session.execute("Path[1]")
         before = session.plan_statistics()
         session.load("def Unrelated(x) : V(x)")
@@ -195,8 +196,7 @@ class TestPlanCachePins:
         """A plan recorded for a relation-valued parameter goes stale when
         the same rule is instantiated with a closure parameter — execution
         must fall back, not fail."""
-        program = RelProgram(options=EngineOptions(plan_cache=True),
-                             load_stdlib=False)
+        program = RelProgram(load_stdlib=False)
         program.define("E", Relation([(1, 2), (2, 3), (3, 4)]))
         program.add_source(
             "def Joined(R, x, y) : exists((z) | R(x, z) and R(z, y))"
@@ -208,21 +208,9 @@ class TestPlanCachePins:
         stats = program.plan_statistics()
         assert stats.get("fallbacks", 0) > 0, stats
 
-    def test_join_strategy_switch_uses_separate_plans(self):
-        session = make_session(True, maintenance="recompute")
-        assert session.execute("Tri") == (
-            Relation([(1, 2, 3)]) if False else session.execute("Tri"))
-        leap = None
-        for strategy in ("binary", "leapfrog", "binary"):
-            session.join_strategy = strategy
-            got = session.execute("count[Tri]")
-            if leap is None:
-                leap = got
-            assert got == leap
-
     def test_plan_cache_off_is_pure_interpretation(self):
-        program = RelProgram(options=EngineOptions(plan_cache=False),
-                             load_stdlib=False)
+        program = oracles.under(RelProgram(load_stdlib=False),
+                                oracles.interpreted)
         program.define("E", Relation([(1, 2), (2, 3)]))
         program.add_source("""
             def TCr(x, y) : E(x, y)

@@ -9,8 +9,8 @@ one full evaluation intersected with the candidates.
 Pinned here, over seeded insert/delete scripts and value pools that
 collide under Python equality:
 
-- the seeded session agrees with a ``maintenance="recompute"`` twin after
-  every step and with :func:`tests.support.generators.reference_extents`;
+- the seeded session agrees with a twin under ``oracles.recompute``
+  (drop-and-recompute) after every step and with :func:`tests.support.generators.reference_extents`;
 - both the seeded and the declined path actually ran;
 - the over-delete and re-derive counts are exactly those of the per-tuple
   demand loop this replaced, on every script where that loop was right
@@ -33,6 +33,7 @@ from repro.engine import program as program_mod
 from repro.engine.errors import SafetyError
 from repro.engine.program import RelProgram
 from repro.model.values import tuple_sort_key
+from tests.support import oracles
 from tests.support.generators import GeneratedProgram, reference_extents
 
 Rules = Tuple[Tuple[str, Tuple[str, ...], str], ...]
@@ -183,8 +184,8 @@ def _script(pool, seed):
     return base, steps
 
 
-def _session(case, base, maintenance):
-    session = connect(load_stdlib=False, maintenance=maintenance)
+def _session(case, base, *paths):
+    session = oracles.under(connect(load_stdlib=False), *paths)
     for name, rel in base.items():
         session.define(name, rel)
     session.load(GeneratedProgram(base={}, rules=list(case.rules),
@@ -205,8 +206,8 @@ def run_script(case, pool, seed, check=None):
     calling ``check(delta, recompute, live)`` after every step; returns
     the delta session's (overdeleted, rederived) counts."""
     base, steps = _script(pool, seed)
-    delta = _session(case, base, "delta")
-    recompute = _session(case, base, "recompute")
+    delta = _session(case, base, oracles.always_delta)
+    recompute = _session(case, base, oracles.recompute)
     for kind, name, rows, live in steps:
         for session in (delta, recompute):
             getattr(session, kind)(name, rows)

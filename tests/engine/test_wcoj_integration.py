@@ -4,23 +4,35 @@ Conjunctions of plain positive atoms over materialized relations are
 extracted from ``_schedule`` and evaluated as one multiway join; these
 tests assert (a) the routing actually happens — observable via the
 session's ``join_statistics()`` explain counter — and (b) the routed
-results are identical to the per-conjunct fallback scheduler's.
+results are identical to the per-conjunct fallback scheduler's
+(``oracles.no_multiway``, the strategy ``"off"`` below).
 """
 
+import functools
 import random
 
 import pytest
 
+from support import oracles
+
 import repro
 from repro.engine.program import EngineOptions
 
+#: "auto" is the shipped heuristic; "leapfrog"/"binary" force one strategy.
+STRATEGIES = {"auto": (), "off": (oracles.no_multiway,),
+              "leapfrog": (functools.partial(oracles.join_strategy,
+                                             "leapfrog"),),
+              "binary": (functools.partial(oracles.join_strategy,
+                                           "binary"),)}
+
 
 def fresh_session(strategy, **relations):
-    # columnar="off": this file pins the *interpreted* strategy routing
+    # oracles.row_plane: this file pins the *interpreted* strategy routing
     # (leapfrog/binary counters); the columnar plane would otherwise
     # intercept large typed joins first (tests/engine/test_columnar.py
     # covers that path).
-    session = repro.connect(join_strategy=strategy, columnar="off")
+    session = oracles.under(repro.connect(), oracles.row_plane,
+                            *STRATEGIES[strategy])
     for name, rows in relations.items():
         session.define(name, rows)
     return session
@@ -71,19 +83,10 @@ class TestRouting:
         stats = s.join_statistics()
         assert stats.get("binary", 0) >= 1 and "leapfrog" not in stats
 
-    def test_join_strategy_knob_validation(self):
-        with pytest.raises(ValueError, match="join strategy"):
-            repro.connect(join_strategy="quantum")
-        s = repro.connect()
-        with pytest.raises(ValueError, match="join strategy"):
-            s.join_strategy = "quantum"
-        s.join_strategy = "binary"
-        assert s.join_strategy == "binary"
-
     def test_options_plumbing(self):
-        opts = EngineOptions(join_strategy="leapfrog")
+        opts = EngineOptions(max_global_iterations=7)
         s = repro.Session(options=opts)
-        assert s.join_strategy == "leapfrog"
+        assert s.program.options is opts
 
 
 class TestAgreementWithFallback:
