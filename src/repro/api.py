@@ -50,16 +50,16 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple, Union)
 
 from repro.db.database import Database
-from repro.db.gnf import check_gnf
+from repro.db.gnf import check_gnf_changes
 from repro.db.transaction import (Changes, Transaction, TransactionResult,
-                                  check_constraints)
+                                  apply_changes, check_constraints, fold)
 from repro.engine import budget as _budget
 from repro.engine.budget import EvalBudget
 from repro.engine.errors import ConstraintViolation
 from repro.engine.program import EngineOptions, RelProgram
 from repro.lang import ast, parse_expression, parse_program
 from repro.model import columns as _columns
-from repro.model.relation import EMPTY, Relation
+from repro.model.relation import Relation, replacements
 
 RelationLike = Union[Relation, Iterable[Tuple[Any, ...]]]
 
@@ -397,9 +397,7 @@ class Session:
 
     def define(self, name: str, relation: RelationLike) -> "Session":
         """Install or replace a base relation (GNF-checked if enforced)."""
-        rel = _as_relation(relation)
-        with self._lock:
-            self._commit(self._changes({name: rel}))
+        self.apply_batch({name: relation})
         return self
 
     def insert(self, name: str, tuples: RelationLike) -> "Session":
@@ -409,21 +407,18 @@ class Session:
         propagation through the stratified fixpoint) when the delta size
         and the occurrence analysis allow it. An empty or
         fully-duplicate delta is a true no-op: nothing is re-evaluated."""
-        delta = _as_relation(tuples)
         with self._lock:
-            self._commit(self._changes(
-                {name: self.database[name].union(delta)}))
+            self._commit(fold({}, "insert", name, _as_relation(tuples),
+                              self.database))
         return self
 
     def delete(self, name: str, tuples: RelationLike) -> "Session":
         """Delete tuples from a base relation (DRed delete-rederive on
         dependent materialized extents where eligible). Deleting from a
         missing relation, or a delta that hits nothing, is a true no-op."""
-        delta = _as_relation(tuples)
         with self._lock:
-            updates = ({name: self.database[name].difference(delta)}
-                       if name in self.database else {})
-            self._commit(self._changes(updates))
+            self._commit(fold({}, "delete", name, _as_relation(tuples),
+                              self.database))
         return self
 
     def apply_batch(self, updates: Mapping[str, RelationLike]) -> Changes:
@@ -431,30 +426,18 @@ class Session:
 
         ``updates`` maps names to their complete new contents. The batch
         is applied under the write lock through one incremental-maintenance
-        pass (the PR-3 delta path) and published as one snapshot step —
-        readers observe either none or all of it. Returns the applied
-        ``name → (old, new)`` deltas (value-unchanged names are skipped).
-        This is the coalescing entry point of the query server's write
-        queue."""
+        pass and published as one snapshot step — readers observe either
+        none or all of it. Returns the applied net deltas, ``name →
+        (plus, minus)`` (:data:`~repro.model.relation.Changes`;
+        value-unchanged names are left out)."""
         converted = {name: _as_relation(value)
                      for name, value in updates.items()}
         with self._lock:
-            changed = self._changes(converted)
+            changed = replacements(converted, self.database)
             self._commit(changed)
             return changed
 
     # -- the commit step ---------------------------------------------------
-
-    def _changes(self, updates: Mapping[str, Relation]) -> Changes:
-        """``name → (old | None, new)`` for the names whose value
-        ``updates`` changes: the one no-op rule of every writer."""
-        changed: Changes = {}
-        for name, new in updates.items():
-            old = self.database[name] if name in self.database else None
-            if old is not None and (old is new or old == new):
-                continue
-            changed[name] = (old, new)
-        return changed
 
     def _commit(self, changed: Changes,
                 log: Optional[Callable[[Changes], None]] = None,
@@ -462,53 +445,48 @@ class Session:
                 check: bool = True) -> None:
         """The one commit step every write ends in (caller holds the lock).
 
-        ``changed`` comes from :meth:`_changes`; ``parsed`` holds the
-        declarations a :meth:`load` adds. In order: refuse a closed
-        storage; GNF-check each new value; check the integrity constraints
-        on a fork with the write applied (only when some ``ic`` exists,
-        and not when a transaction already has); append the WAL record
-        (``log``, by default one batch record); install into the database;
-        maintain the program in one pass; publish, then maybe checkpoint.
-        A write refused before the WAL append leaves no trace, as an
-        aborted transaction does (Section 3.5)."""
+        ``changed`` is the write's net delta
+        (:data:`~repro.model.relation.Changes`), taken once by the writer;
+        ``parsed`` holds the declarations a :meth:`load` adds. In order:
+        refuse a closed storage; GNF-check the delta; check the integrity
+        constraints on a fork with it applied (only when some ``ic``
+        exists, and not when a transaction already has); log it (``log``,
+        by default as one batch record); apply it to the program in one
+        maintenance pass and to the database; publish, then maybe
+        checkpoint. A write refused before the WAL append leaves no trace,
+        as an aborted transaction does (Section 3.5)."""
         self._check_storage()
         if not changed and parsed is None:
             return
         if self.database.enforce_gnf:
-            for name, (_, new) in changed.items():
-                check_gnf(name, new)
+            check_gnf_changes(changed, self.database)
         if check:
             self._check_constraints(changed, parsed)
         if self._storage is not None:
-            (log or self._log_changed)(changed)
-        for name, (_, new) in changed.items():
-            self.database.install(name, new)
+            (log or self._storage.log_batch)(changed)
         with _budget.scoped(None):
             if parsed is not None:
                 self.program._ingest(parsed)
             if changed:
-                self.program.apply_updates(changed)
+                apply_changes(self.program, self.database, changed)
         self._mutated()
         self._maybe_checkpoint()
 
     def _check_constraints(self, changed: Changes,
                            parsed: Optional[ast.Program]) -> None:
         """Raise :class:`ConstraintViolation` — the first failing ``ic``
-        and its witnesses — if the write breaks a constraint. Declarations
-        being loaded are ingested into a fork first; :func:`check_constraints`
-        applies ``changed`` on a fork of its own. Neither fork is built
-        while no ``ic`` exists."""
-        program = self.program
-        if parsed is not None and (program.constraints or any(
+        and its witnesses — if the write breaks a constraint, checked on one
+        fork with ``parsed`` ingested and ``changed`` applied (none while
+        no ``ic`` exists)."""
+        if not self.program.constraints and not (parsed is not None and any(
                 isinstance(decl, ast.ICDef) for decl in parsed.declarations)):
-            program = program.fork()
-            program._ingest(parsed)
-        if not program.constraints:
             return
-        post = Database({**self.database.as_mapping(),
-                         **{name: new for name, (_, new) in changed.items()}})
+        program = self.program.fork()
+        if parsed is not None:
+            program._ingest(parsed)
+        program.apply_updates(changed)
         failed = {name: rel for name, rel
-                  in check_constraints(program, post).items() if rel}
+                  in check_constraints(program).items() if rel}
         if failed:
             first = min(failed)
             raise ConstraintViolation(first, failed[first])
@@ -699,15 +677,6 @@ class Session:
                 "session storage is closed; reopen with connect(path=...)"
             )
 
-    def _log_changed(self, changed: Changes) -> None:
-        """The default WAL record of :meth:`_commit`: one batch record of
-        ``name → (inserted, deleted)`` rows."""
-        updates = {}
-        for name, (old, new) in changed.items():
-            prev = old if old is not None else EMPTY
-            updates[name] = (new.difference(prev), prev.difference(new))
-        self._storage.log_batch(updates)
-
     def _maybe_checkpoint(self) -> None:
         """Kick off a background checkpoint when the WAL has grown past
         the ``checkpoint_every`` record threshold (caller holds the lock;
@@ -771,13 +740,11 @@ class Session:
                     "table_format='sqlite' requires a durable session — "
                     "open one with connect(path=...)"
                 )
-            old = self.database[name]
-            new = old.union(Relation(coerced))
-            self._commit(self._changes({name: new}),
-                         log=lambda _: self._storage.log_bulk(
-                             name, coerced,
-                             use_store=(table_format == "sqlite")))
-            return len(new) - len(old)
+            changed = fold({}, "insert", name, Relation(coerced),
+                           self.database)
+            self._commit(changed, log=lambda _: self._storage.log_bulk(
+                name, coerced, use_store=(table_format == "sqlite")))
+            return len(changed[name][0]) if name in changed else 0
 
     def storage_statistics(self) -> Dict[str, int]:
         """Durability counters (``wal_appends``, ``wal_bytes``,
@@ -848,7 +815,7 @@ class Session:
     def maintenance_statistics(self) -> Dict[str, int]:
         """Per-event maintenance counters ("maintained_strata",
         "recomputed_strata", "overdeleted_tuples", "rederived_tuples",
-        "noop_updates", …) — the explain hook for checking that an update
+        …) — the explain hook for checking that an update
         took the incremental path, mirroring :meth:`join_statistics`."""
         return self.program.maintenance_statistics()
 

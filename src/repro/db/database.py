@@ -73,6 +73,10 @@ class Database:
             check_gnf(name, relation)
         self._relations[name] = relation
 
+    def update(self, relations: Mapping[str, Relation]) -> None:
+        """Install relations a commit step has already GNF-checked."""
+        self._relations.update(relations)
+
     def insert(self, name: str, tuples) -> None:
         """Insert tuples into a base relation (creating it if absent)."""
         updated = self.get(name).union(Relation(tuples))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.model.relation import Relation
+from repro.model.relation import EMPTY, Relation, apply_delta
 from repro.model.values import Entity
 
 
@@ -34,10 +34,9 @@ def is_functional_relation(relation: Relation) -> bool:
 def gnf_violations(name: str, relation: Relation) -> List[str]:
     """All GNF condition-(1) problems of a relation instance.
 
-    A relation passes if it is arity-homogeneous and its first k−1 columns
-    are a key (the all-columns-key case is subsumed: a set of distinct
-    tuples always has all columns as *a* key; the functional check only
-    bites when duplicate key prefixes map to different last values).
+    A relation passes if it is arity-homogeneous: a set of distinct tuples
+    always has all columns as *a* key, and only a declared functional
+    reading (:func:`check_functional`) can fail an instance.
     """
     problems: List[str] = []
     arities = relation.arities()
@@ -46,16 +45,6 @@ def gnf_violations(name: str, relation: Relation) -> List[str]:
             f"{name}: mixed arities {sorted(arities)} — a GNF relation stores "
             f"facts of one shape"
         )
-        return problems
-    if not relation.is_functional():
-        # Not functional means all columns must be the key — which holds
-        # trivially for a set — unless the user *declared* a functional
-        # reading; instance-level checking can only flag the pattern where
-        # the same key prefix has several values, which is legitimate for
-        # multi-valued relationships. We therefore only flag relations that
-        # look like failed functions: same prefix, conflicting *scalar*
-        # values in a last column that is never used as a join key.
-        pass
     return problems
 
 
@@ -64,6 +53,17 @@ def check_gnf(name: str, relation: Relation) -> None:
     problems = gnf_violations(name, relation)
     if problems:
         raise GNFViolation("; ".join(problems))
+
+
+def check_gnf_changes(changes: Mapping[str, Tuple[Relation, Relation]],
+                      base: Mapping[str, Relation]) -> None:
+    """GNF-check each relation as the net delta ``changes`` leaves it. Mixed
+    arity is the one violation and the result lies inside ``old ∪ plus``:
+    only if those mix arities is the result built and checked."""
+    for name, (plus, minus) in changes.items():
+        old = base.get(name, EMPTY)
+        if len(old.arities() | plus.arities()) > 1:
+            check_gnf(name, apply_delta(old, plus, minus))
 
 
 def check_functional(name: str, relation: Relation) -> None:

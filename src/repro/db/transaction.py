@@ -20,9 +20,9 @@ checked on the same fork after the net changes are applied to it. Abort is
 dropping the fork: the live program, its caches and its counters were never
 touched. Commit hands the checked net changes to a ``commit`` callback —
 the session's commit step, which logs, installs and maintains them like
-every other session write — or, for a standalone transaction, installs
-them into the database and applies them to the live program in one
-maintenance pass.
+every other session write — or, for a standalone transaction, applies them
+to the live program in one maintenance pass and installs the result into
+the database. Either way they travel as one net delta (:data:`Changes`).
 
 Concurrency: the fork is thread-confined and the database changes only at
 commit. The session layer runs the whole execute-check-commit sequence
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.db.database import Database
+from repro.db.gnf import check_gnf_changes
 from repro.engine import budget as _budget
 from repro.engine import builtins as bi
 from repro.engine.errors import EvaluationError
@@ -45,25 +46,45 @@ from repro.engine.program import EngineOptions, RelProgram
 from repro.engine.runtime import Env, compile_rule
 from repro.lang import ast
 from repro.lang.nnf import negate
-from repro.model.relation import EMPTY, Relation
+from repro.model.relation import EMPTY, Changes, Relation, replacements
 from repro.model.values import Symbol
 
 #: The reserved control relation names of Section 3.4.
 CONTROL_RELATIONS = frozenset({"output", "insert", "delete"})
 
-#: ``name → (old, new)`` per base relation a commit changes (``old`` is
-#: ``None`` for a relation the transaction creates).
-Changes = Dict[str, Tuple[Optional[Relation], Relation]]
+
+def fold(changes: Changes, kind: str, name: str, rows: Relation,
+         database: Database) -> Changes:
+    """Fold an ``"insert"`` or ``"delete"`` of ``rows`` into ``changes``,
+    the pending delta of a write to ``database``, and return it: the one
+    no-op rule of every insert and delete. Each row is probed against the
+    base, so the cost is the write's size, not the base's."""
+    base = database.get(name, None)
+    if base is None and name not in changes:
+        if kind == "insert":
+            changes[name] = (rows, EMPTY)
+        return changes
+    plus, minus = changes.get(name, (EMPTY, EMPTY))
+    stored = base if base is not None else EMPTY
+    if kind == "insert":
+        plus = plus.union(rows.missing_from(stored))
+        minus = minus.difference(rows)
+    else:
+        plus = plus.difference(rows)
+        minus = minus.union(rows.difference(rows.missing_from(stored)))
+    if base is None or plus or minus:
+        changes[name] = (plus, minus)
+    else:
+        changes.pop(name, None)
+    return changes
 
 
 @dataclass
 class TransactionResult:
     """Outcome of one transaction.
 
-    ``changed`` records, per base relation the commit actually touched, the
-    ``(old, new)`` pair (``old`` is ``None`` for relations created by the
-    transaction) — the batch the commit fed to the engine's incremental
-    maintenance (and, in a session, to its write-ahead log)."""
+    ``changed`` is the commit's net delta (:data:`Changes`), as fed to
+    incremental maintenance and, in a session, to the write-ahead log."""
 
     committed: bool
     output: Relation
@@ -104,8 +125,9 @@ class Transaction:
         """Run a Rel program; commit its effects unless a constraint fails.
 
         The program's rules are evaluated against the current database
-        state; ``insert``/``delete`` requests are computed, constraints are
-        checked on the *post-state*, and only then is the database mutated.
+        state; ``insert``/``delete`` requests are folded into the net delta
+        (deletes first), constraints are checked on the *post-state*, and
+        only then is the database mutated.
         """
         program = self.program
         if program is None:
@@ -120,16 +142,10 @@ class Transaction:
         inserted = _split_by_target(inserted)
         deleted = _split_by_target(deleted)
 
-        # The tentative post-state, and the net changes it makes.
-        post = self.database.copy()
-        for name, tuples in deleted.items():
-            post.delete(name, tuples)
-        for name, tuples in inserted.items():
-            post.insert(name, tuples)
-        changed: Changes = {
-            name: (self.database.get(name, None), post[name])
-            for name in sorted(set(inserted) | set(deleted))
-            if post[name] != self.database[name]}
+        changed: Changes = {}
+        for kind, requests in (("delete", deleted), ("insert", inserted)):
+            for name, rows in requests.items():
+                fold(changed, kind, name, rows, self.database)
 
         # Check integrity constraints against the post-state (Section 3.5:
         # "If a transaction violates a constraint, it is aborted").
@@ -137,7 +153,7 @@ class Transaction:
         if fork.constraints:
             fork.apply_updates(changed)
             failed = {name: rel for name, rel
-                      in check_constraints(fork, post).items() if rel}
+                      in check_constraints(fork).items() if rel}
         if failed:
             return TransactionResult(
                 committed=False,
@@ -148,15 +164,14 @@ class Transaction:
                 aborted_by=sorted(failed)[0],
             )
 
-        # Commit: the caller's commit step, or install and one maintenance
-        # pass on the live program.
+        # Commit: the caller's commit step, or our own.
         if self.commit is not None:
             self.commit(changed)
         elif changed:
-            for name, (_, new) in changed.items():
-                self.database.install(name, new)
+            if self.database.enforce_gnf:
+                check_gnf_changes(changed, self.database)
             with _budget.scoped(None):
-                program.apply_updates(changed)
+                apply_changes(program, self.database, changed)
         return TransactionResult(
             committed=True,
             output=output,
@@ -164,6 +179,18 @@ class Transaction:
             deleted=deleted,
             changed=changed,
         )
+
+
+def apply_changes(program: RelProgram, database: Database,
+                  changes: Changes) -> None:
+    """Apply ``changes`` to ``program`` in one maintenance pass, then copy
+    the new base values it computed into ``database`` (also when
+    maintenance fails: the two never disagree)."""
+    try:
+        program.apply_updates(changes)
+    finally:
+        database.update({name: program.base_relation(name)
+                         for name in changes})
 
 
 def _split_by_target(requests: Relation) -> Dict[str, Relation]:
@@ -179,7 +206,8 @@ def _split_by_target(requests: Relation) -> Dict[str, Relation]:
 
 
 def check_constraints(program: RelProgram,
-                      database: Database) -> Dict[str, Relation]:
+                      database: Optional[Database] = None
+                      ) -> Dict[str, Relation]:
     """Evaluate every ``ic`` of ``program`` against a database state.
 
     Returns, per constraint, the relation of violations: for parameterless
@@ -188,10 +216,10 @@ def check_constraints(program: RelProgram,
     (Section 3.5: "integrity_quantities will be populated with the values x
     that violate the constraint").
 
-    The constraints run on ``program``'s own evaluation state when its base
-    relations already are ``database``'s (a transaction's fork after its
-    updates); otherwise on a fork of ``program`` brought to ``database`` by
-    one :meth:`~RelProgram.apply_updates`, leaving ``program`` unchanged.
+    The constraints run on ``program``'s own evaluation state (a fork a
+    write's delta was applied to) unless ``database`` differs from its
+    base; then on a fork brought to ``database`` by one
+    :meth:`~RelProgram.apply_updates`, leaving ``program`` unchanged.
     Relations need no declaration (Section 3.4): a name the constraints
     reach that nothing defines is an empty base relation on that fork.
     """
@@ -207,15 +235,14 @@ def check_constraints(program: RelProgram,
     ))) for ic in program.constraints]
     if rules:
         base = program.durable_state()
-        stale = {name: (base.get(name), rel) for name, rel in database.items()
-                 if not (base.get(name) is rel or base.get(name) == rel)}
+        stale = replacements(database or {}, base)
         for _, rule in rules:
             for name in rule.free:
                 for ref in program._refs_of(name):
                     if ref not in stale and ref not in base \
                             and ref not in program.closures \
                             and bi.lookup(ref) is None:
-                        stale[ref] = (None, EMPTY)
+                        stale[ref] = (EMPTY, EMPTY)
         if stale:
             program = program.fork()
             program.apply_updates(stale)

@@ -47,7 +47,8 @@ from repro.engine.expand import (
 from repro.engine.runtime import Closure, Env, Rule, compile_rule
 from repro.lang import ast, parse_expression, parse_program
 from repro.model import columns as _columns
-from repro.model.relation import EMPTY, Relation
+from repro.model.relation import (EMPTY, Changes, Relation, apply_delta,
+                                  replacements)
 from repro.model.relation import row_key as model_row_key
 from repro.model.values import value_key
 
@@ -68,11 +69,12 @@ class EngineOptions:
     max_global_iterations: int = 100_000
 
 
-def _delta_replaces_most(plus: Relation, minus: Relation, old: Relation,
-                         new: Relation) -> bool:
-    """The update replaces most of the relation: recomputing the dependent
-    strata is at least as cheap as delta propagation."""
-    return len(plus) + len(minus) > max(8, (len(old) + len(new)) // 2)
+def _delta_replaces_most(plus: Relation, minus: Relation,
+                         before: int) -> bool:
+    """The update replaces most of a relation of ``before`` rows: recomputing
+    the dependent strata is at least as cheap as delta propagation."""
+    after = before + len(plus) - len(minus)
+    return len(plus) + len(minus) > max(8, (before + after) // 2)
 
 
 @contextlib.contextmanager
@@ -818,7 +820,7 @@ class RelProgram:
         delta size and occurrence analysis allow it; otherwise only
         the strata that (transitively) depend on it are dirtied. Everything
         else keeps its computed extent and instance memos."""
-        self._apply_updates_inner({name: (self._base.get(name), relation)})
+        self._apply_updates_inner(replacements({name: relation}, self._base))
 
     def _define_new_base(self, name: str) -> None:
         """First touch of a brand-new base name.
@@ -912,8 +914,7 @@ class RelProgram:
         state.prune_memo(changed)
         state.drop_indexes_for(dropped)
 
-    def _invalidate_data(self, name: str,
-                         old: Optional[Relation] = None) -> None:
+    def _invalidate_data(self, name: str, old: Relation) -> None:
         """A base relation changed in place: dirty only dependent strata.
         Index/trie cache entries are dropped only for the relations actually
         replaced (``old``) or discarded — unaffected relations keep their
@@ -923,10 +924,8 @@ class RelProgram:
         state = self._state
         state.bump_name(name)
         dropped = self._drop_dependent_extents({name})
-        if old is not None:
-            dropped.append(old)
         state.prune_memo({name})
-        state.drop_indexes_for(dropped)
+        state.drop_indexes_for(dropped + [old])
         state.count_maintenance("full_invalidations")
 
     def _drop_dependent_extents(self, changed: Set[str]) -> List[Relation]:
@@ -1340,86 +1339,72 @@ class RelProgram:
 
     def apply_updates(
         self,
-        updates: Mapping[str, Tuple[Optional[Relation], Relation]],
+        updates: Changes,
     ) -> None:
-        """Apply a batch of base-relation changes (``name → (old, new)``,
-        ``old=None`` for a brand-new name) through one maintenance pass —
-        the entry point for committed transaction insert/delete requests."""
+        """Apply a batch of net deltas, ``name → (plus, minus)`` (``plus``
+        disjoint from the base, ``minus`` inside it; a missing name is
+        created, even empty), through one maintenance pass — the entry
+        point of every committed write."""
         with contextlib.ExitStack() as stack:
             if self._state is not None:
                 stack.enter_context(_plane_stats(self._state))
             self._apply_updates_inner(updates)
 
-    def _apply_updates_inner(
-        self,
-        updates: Mapping[str, Tuple[Optional[Relation], Relation]],
-    ) -> None:
+    def _apply_updates_inner(self, updates: Changes) -> None:
         fresh: List[str] = []
-        changed: Dict[str, Tuple[Relation, Relation]] = {}
+        pre: Dict[str, Relation] = {}
         # Copy-on-write: the base mapping is replaced, never mutated in
         # place, so snapshots sharing the previous mapping stay frozen.
         base = dict(self._base)
-        for name, (old, new) in updates.items():
-            base[name] = new
+        for name, (plus, minus) in updates.items():
+            old = base.get(name)
             if old is None:
                 fresh.append(name)
-            elif not (old is new or old == new):
-                changed[name] = (old, new)
+                base[name] = plus
+            elif plus or minus:
+                base[name], pre[name] = apply_delta(old, plus, minus), old
         self._base = base
         for name in fresh:
             self._define_new_base(name)
             if self._state is None:
                 # The new name forced a full reset; nothing left to maintain.
                 return
-        if not changed:
+        if not pre:
             return
         maintained = False
         try:
-            maintained = self._try_maintain(changed)
+            maintained = self._try_maintain(
+                {name: updates[name] for name in pre}, pre)
         finally:
             # Declined maintenance, or an error (a budget abort, a
             # ConvergenceError) that left dependent strata stale relative
             # to the installed base: drop-and-recompute invalidation is
             # the consistent state either way.
             if not maintained:
-                for name, (old, _) in changed.items():
+                for name, old in pre.items():
                     self._invalidate_data(name, old)
 
-    def _try_maintain(
-            self, updates: Dict[str, Tuple[Relation, Relation]]) -> bool:
+    def _try_maintain(self, deltas: Changes,
+                      pre: Dict[str, Relation]) -> bool:
         """Incrementally maintain materialized extents after base updates.
 
-        ``updates`` maps names to ``(old, new)`` relations (``new`` already
-        installed in ``_base``). Returns True when the evaluation state has
-        been brought up to date (possibly via per-stratum recompute
-        fallbacks); False means the caller should fall back to
-        drop-and-recompute invalidation."""
+        ``deltas`` maps names to their non-empty net ``(plus, minus)``,
+        already applied to ``_base``; ``pre`` holds their previous values.
+        Returns True when the evaluation state has been brought up to date
+        (possibly via per-stratum recompute fallbacks); False means the
+        caller should fall back to drop-and-recompute invalidation."""
         state = self._state
         if state is None:
             return False
         ctx = self._ctx
-        # Net per-name deltas under value semantics (the satellite fix on
-        # Relation.difference is what makes these trustworthy).
-        deltas: Dict[str, Tuple[Relation, Relation]] = {}
-        pre: Dict[str, Relation] = {}
-        replaced: List[Relation] = []
-        for name, (old, new) in updates.items():
-            plus = new.difference(old)
-            minus = old.difference(new)
-            if not plus and not minus:
-                continue
-            if _delta_replaces_most(plus, minus, old, new):
-                return False
-            deltas[name] = (plus, minus)
-            pre[name] = old
-            replaced.append(old)
-        if not deltas:
-            state.count_maintenance("noop_updates")
-            return True
+        if any(_delta_replaces_most(plus, minus, len(pre[name]))
+               for name, (plus, minus) in deltas.items()):
+            return False
         for name in deltas:
             state.bump_name(name)
         state.prune_memo(set(deltas))
-        state.drop_indexes_for(replaced)
+        state.drop_indexes_for(list(pre.values()))
+        pre = dict(pre)  # maintained strata register their pre-states too
         if not state.extents:
             # Nothing materialized yet: generation bumps above are all the
             # invalidation needed.

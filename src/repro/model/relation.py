@@ -42,7 +42,7 @@ bool/int disjointness and int/float cross-typing by construction (see
 from __future__ import annotations
 
 from typing import (Any, Callable, Collection, Dict, FrozenSet, Iterable,
-                    Iterator, Sequence, Tuple)
+                    Iterator, Mapping, Sequence, Tuple)
 
 from repro.model import columns as _columns
 from repro.model.values import (is_value, row_key, sort_key, tuple_sort_key,
@@ -365,6 +365,16 @@ class Relation:
             return self
         return Relation._from_keyed(kept)
 
+    def missing_from(self, other: "Relation") -> "Relation":
+        """``self − other`` by one probe of ``other``'s row index per row of
+        ``self``: O(|self|) however large ``other`` is (a columnar ``other``
+        builds its index once). A write takes its delta against a base so."""
+        mine, theirs = self._keyed(), other._keyed()
+        if theirs.keys().isdisjoint(mine.keys()):
+            return self  # e.g. a bulk load of new rows: no per-row Python
+        return Relation._from_keyed(
+            {k: t for k, t in mine.items() if k not in theirs})
+
     def product(self, other: "Relation") -> "Relation":
         """Cartesian product by tuple concatenation — ``(e1, e2)``.
 
@@ -566,6 +576,36 @@ FALSE: Relation = EMPTY
 #: multiplicative identity of the Cartesian product.
 UNIT: Relation = Relation([()])
 TRUE: Relation = UNIT
+
+
+#: ``name → (plus, minus)``, a write's net delta: ``plus`` is disjoint from
+#: the base, ``minus`` inside it; a missing name's entry creates it, even
+#: empty. Writers leave out an existing name's no-op.
+Changes = Dict[str, Tuple[Relation, Relation]]
+
+
+def apply_delta(rel: Relation, plus: Relation, minus: Relation) -> Relation:
+    """``rel`` without ``minus`` and with ``plus``: how a write's net delta
+    reaches a stored relation, in the engine's base and in WAL replay."""
+    if minus:
+        rel = rel.difference(minus)
+    return rel.union(plus) if plus else rel
+
+
+def replacements(updates: Mapping[str, Relation],
+                 base: Mapping[str, Relation]) -> Changes:
+    """The net delta of giving each name its value in ``updates``: one diff
+    per name ``base`` holds, no-ops left out."""
+    changes: Changes = {}
+    for name, new in updates.items():
+        old = base.get(name, None)
+        if old is None:
+            changes[name] = (new, EMPTY)
+        elif new is not old:
+            plus, minus = new.difference(old), old.difference(new)
+            if plus or minus:
+                changes[name] = (plus, minus)
+    return changes
 
 
 def relation(*tuples: Sequence[Any]) -> Relation:

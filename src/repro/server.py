@@ -11,10 +11,11 @@ users; :class:`QueryServer` is the in-process shape of that front end:
 - **writes** — :meth:`insert` / :meth:`delete` / :meth:`define` /
   :meth:`load` / :meth:`transact` enqueue onto a single writer thread.
   Consecutive insert/delete requests are **coalesced**: the writer drains
-  the queue, folds them into per-relation net contents, and applies the
-  whole batch through :meth:`Session.apply_batch` — one incremental-
-  maintenance pass (the PR-3 delta path) and one atomic snapshot publish
-  for the entire burst. Every enqueued operation gets a
+  the queue, folds them into one net ``(plus, minus)`` delta per relation
+  (as a direct :meth:`Session.insert`/:meth:`Session.delete` folds its
+  own), and commits it through the session's commit step — one
+  incremental-maintenance pass and one atomic snapshot publish for the
+  entire burst. Every enqueued operation gets a
   :class:`~concurrent.futures.Future` resolved when its batch commits.
   Every write reaches the session's one commit step, so integrity
   constraints hold on all of them: when a coalesced run breaks one, the
@@ -46,6 +47,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.db.transaction import Changes, fold
 from repro.engine.budget import EvalBudget
 from repro.engine.errors import (ConstraintViolation, QueryBudgetError,
                                  QueryTimeoutError)
@@ -335,8 +337,7 @@ class QueryServer:
 
     def _apply(self, batch) -> None:
         """Apply one drained batch in submission order, coalescing runs of
-        insert/delete into single atomic :meth:`Session.apply_batch`
-        calls."""
+        insert/delete into single atomic commits."""
         with self._stats_lock:
             self._stats["write_ops"] += len(batch)
             self._stats["write_batches"] += 1
@@ -353,9 +354,9 @@ class QueryServer:
                 i += 1
 
     def _apply_deltas(self, group) -> None:
-        """Coalesce one run of insert/delete ops into per-name net contents
-        and commit them as a single batch (one maintenance pass, one
-        snapshot publish)."""
+        """Fold one run of insert/delete ops into one net delta, as a direct
+        :meth:`Session.insert`/:meth:`~Session.delete` folds its own, and
+        commit it as a single batch (one maintenance pass and publish)."""
         # Claim every future first: a cancelled op (pending Future) must be
         # skipped — not applied — and completing it later would raise
         # InvalidStateError out of the writer thread, killing the queue.
@@ -366,25 +367,11 @@ class QueryServer:
         session = self.session
         with session._lock:
             try:
-                # name → net contents; None = "still absent" (a delete on a
-                # missing relation must not create it, matching
-                # Session.delete's no-op semantics).
-                updates: Dict[str, Optional[Relation]] = {}
+                changed: Changes = {}
                 for op in group:
-                    if op.name in updates:
-                        current = updates[op.name]
-                    else:
-                        current = session.database[op.name] \
-                            if op.name in session.database else None
-                    if op.kind == "insert":
-                        updates[op.name] = (op.payload if current is None
-                                            else current.union(op.payload))
-                    elif current is not None:
-                        updates[op.name] = current.difference(op.payload)
-                    else:
-                        updates[op.name] = None
-                session.apply_batch({name: rel for name, rel in
-                                     updates.items() if rel is not None})
+                    fold(changed, op.kind, op.name, op.payload,
+                         session.database)
+                session._commit(changed)
             except BaseException as exc:
                 if isinstance(exc, ConstraintViolation) and len(group) > 1:
                     # Some op breaks a constraint: re-apply the run op by

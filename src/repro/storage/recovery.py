@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.model.relation import EMPTY, Relation
+from repro.model.relation import EMPTY, Relation, apply_delta
 from repro.storage import bulkload, checkpoint as ckpt, codec, wal
 from repro.storage.errors import CheckpointError, WALCorruptionError
 
@@ -96,11 +96,9 @@ def _apply_record(record: Dict[str, Any], state: RecoveredState,
         state.sources.append(record["source"])
     elif op == "batch":
         for name, (plus, minus) in record["updates"].items():
-            old = state.base.get(name, EMPTY)
-            state.base[name] = (
-                old.difference(codec.decode_relation(minus))
-                   .union(codec.decode_relation(plus))
-            )
+            state.base[name] = apply_delta(state.base.get(name, EMPTY),
+                                           codec.decode_relation(plus),
+                                           codec.decode_relation(minus))
     elif op == "bulk":
         name = record["name"]
         if "rows" in record:

@@ -70,13 +70,13 @@ def recompute():
     """Decline incremental maintenance: every update drops the dependent
     extents and the next read recomputes them."""
     return _patched(program_mod.RelProgram, "_try_maintain",
-                    lambda self, updates: False)
+                    lambda self, deltas, pre: False)
 
 
 def always_delta():
     """Propagate deltas however much of a relation an update replaces."""
     return _patched(program_mod, "_delta_replaces_most",
-                    lambda plus, minus, old, new: False)
+                    lambda plus, minus, before: False)
 
 
 @contextlib.contextmanager
