@@ -42,7 +42,7 @@ from repro.engine import budget as _budget
 from repro.engine import builtins as bi
 from repro.engine.errors import EvaluationError
 from repro.engine.expand import eval_rule
-from repro.engine.program import EngineOptions, RelProgram
+from repro.engine.program import EngineOptions, RelProgram, _plane_stats
 from repro.engine.runtime import Env, compile_rule
 from repro.lang import ast
 from repro.lang.nnf import negate
@@ -210,7 +210,8 @@ def check_constraints(program: RelProgram,
                       ) -> Dict[str, Relation]:
     """Evaluate every ``ic`` of ``program`` against a database state.
 
-    Returns, per constraint, the relation of violations: for parameterless
+    Returns, per constraint name, the relation of violations — the union
+    over every ``ic`` declared with that name: for parameterless
     constraints ``{()}`` means *violated* (the requirement does not hold);
     for parameterized constraints the violating valuations are returned
     (Section 3.5: "integrity_quantities will be populated with the values x
@@ -247,14 +248,17 @@ def check_constraints(program: RelProgram,
             program = program.fork()
             program.apply_updates(stale)
     results: Dict[str, Relation] = {}
-    for ic, rule in rules:
-        try:
-            facts = eval_rule(rule, Env.EMPTY, program._context())
-        except Exception as exc:  # surface with constraint context
-            raise EvaluationError(
-                f"integrity constraint {ic.name!r} could not be evaluated: {exc}"
-            ) from exc
-        results[ic.name] = Relation(facts)
+    ctx = program._context()
+    with _plane_stats(ctx.state):
+        for ic, rule in rules:
+            try:
+                facts = eval_rule(rule, Env.EMPTY, ctx)
+            except Exception as exc:  # surface with constraint context
+                raise EvaluationError(
+                    f"integrity constraint {ic.name!r} could not be "
+                    f"evaluated: {exc}") from exc
+            results[ic.name] = results.get(ic.name, EMPTY).union(
+                Relation(facts))
     return results
 
 

@@ -23,16 +23,19 @@ computed on demand by the program layer (``ctx.closure_extent``), with
 Kleene iteration for self-recursive instances such as ``APSP[V,E]`` and
 ``PageRank[G]``.
 
-Thread-safety contract (the PR-5 snapshot audit): the expansion read path
-touches shared state *only* through ``ctx`` — ``ctx.resolve`` /
-``ctx.closure_extent`` and the :class:`EvalState` cache methods
+Thread-safety contract: the expansion read path touches shared state
+*only* through ``ctx`` — ``ctx.resolve`` / ``ctx.closure_extent`` and the
+methods of ``ctx.state``, an :class:`~repro.engine.program.EvalState`
 (``plan_lookup`` / ``install_plan`` / ``index`` / ``sorted_trie`` /
-``atom_index`` / ``skeleton`` / the counters). Tables and per-call
-intermediates are thread-confined; module-level state is limited to the
-``_FRESH`` column counter (an atomic ``itertools.count``) and immutable
-handler/constant tables. Concurrent snapshot readers therefore isolate by
-swapping in an overlay state (:mod:`repro.engine.snapshot`) — nothing in
-this module may cache into globals or mutate a Relation/AST in place.
+``atom_index`` / ``skeleton`` / ``count``) — plus the columnar counter
+sink (:func:`repro.model.columns.count_plane`), which is thread-local.
+Tables and per-call intermediates are thread-confined; module-level state
+is limited to the ``_FRESH`` column counter (an atomic
+``itertools.count``) and immutable handler/constant tables. Concurrent
+snapshot readers therefore isolate by evaluating against a state built
+with the live one as its parent, which reads the parent's caches and
+never writes them (:mod:`repro.engine.snapshot`) — nothing in this module
+may cache into globals or mutate a Relation/AST in place.
 """
 
 from __future__ import annotations
@@ -100,12 +103,6 @@ def _kernel_wanted(n: int) -> bool:
     return n >= _COLUMNAR_MIN_ROWS and _columns.available()
 
 
-def _count_columnar(ctx, event: str) -> None:
-    state = getattr(ctx, "state", None)
-    if state is not None and hasattr(state, "count_columnar"):
-        state.count_columnar(event)
-
-
 def _budget_checkpoint() -> None:
     """Unamortized budget check at a work-amortizing boundary.
 
@@ -120,7 +117,7 @@ def _budget_checkpoint() -> None:
         budget.check()
 
 
-def _dedupe(table: Table, ctx) -> Table:
+def _dedupe(table: Table) -> Table:
     """:meth:`Table.dedupe` routed through the columnar kernel when the
     input size allows — the result is identical either way."""
     if table.distinct:
@@ -129,13 +126,13 @@ def _dedupe(table: Table, ctx) -> Table:
         _budget_checkpoint()
         result = dedupe_table(table)
         if result is not None:
-            _count_columnar(ctx, "dedupe")
+            _columns.count_plane("dedupe")
             return result
-        _count_columnar(ctx, "dedupe_fallback")
+        _columns.count_plane("dedupe_fallback")
     return table.dedupe()
 
 
-def _project(table: Table, keep: Sequence[str], ctx) -> Table:
+def _project(table: Table, keep: Sequence[str]) -> Table:
     """:meth:`Table.project` routed through the columnar kernel.
 
     Sized checks only (``len``, never ``.rows``): a columnar-backed table
@@ -145,22 +142,22 @@ def _project(table: Table, keep: Sequence[str], ctx) -> Table:
         _budget_checkpoint()
         result = project_table(table, keep)
         if result is not None:
-            _count_columnar(ctx, "project")
+            _columns.count_plane("project")
             return result
-        _count_columnar(ctx, "project_fallback")
+        _columns.count_plane("project_fallback")
     return table.project(keep)
 
 
-def _union(tables: List[Table], cols: Tuple[str, ...], ctx) -> Table:
+def _union(tables: List[Table], cols: Tuple[str, ...]) -> Table:
     """:func:`union_tables` routed through the columnar kernel."""
     total = sum(len(t) for t in tables)
     if total and _kernel_wanted(total):
         _budget_checkpoint()
         result = union_tables_typed(tables, cols)
         if result is not None:
-            _count_columnar(ctx, "union")
+            _columns.count_plane("union")
             return result
-        _count_columnar(ctx, "union_fallback")
+        _columns.count_plane("union_fallback")
     return union_tables(tables, cols)
 
 
@@ -339,8 +336,8 @@ def _expand_conjunction(node: ast.Node, table: Table, frame: Frame, ctx) -> Tabl
 
 
 def _plan_state(ctx, table: Table, frame: Frame, anchor):
-    """The (state, plan key) pair for plan caching — (None, None) when the
-    plan cache is unavailable for this call.
+    """The (state, plan key) pair for plan caching — (None, None) for a
+    call with no anchor or no bindings.
 
     The key is the anchor's identity (a stable AST node or compiled rule)
     and the *bound-variable pattern* (which scope variables the incoming
@@ -349,11 +346,8 @@ def _plan_state(ctx, table: Table, frame: Frame, anchor):
     extraction picks its join strategy afresh on every replay."""
     if anchor is None or not len(table):
         return None, None
-    state = getattr(ctx, "state", None)
-    if state is None or not hasattr(state, "plan_lookup"):
-        return None, None
-    return state, (id(anchor),
-                   frozenset(c for c in table.cols if c in frame.scope))
+    return ctx.state, (id(anchor),
+                       frozenset(c for c in table.cols if c in frame.scope))
 
 
 def _absorb_conjunct(expanded: Table, slot: Optional[int],
@@ -402,9 +396,9 @@ def _schedule(
         if plan is not None:
             result = _execute_plan(plan, items, table, frame, ctx)
             if result is not None:
-                state.count_plan("hits")
+                state.count("plan", "hits")
                 return result
-            state.count_plan("fallbacks")
+            state.count("plan", "fallbacks")
     pending = [(i, slot, n) for i, (slot, n) in enumerate(items)]
     slot_cols: Dict[int, str] = {}
     multiway_rec = None
@@ -425,8 +419,7 @@ def _schedule(
                 continue
             scheduled = i
             order_rec.append(orig)
-            table = _dedupe(_absorb_conjunct(expanded, slot, slot_cols, ctx),
-                            ctx)
+            table = _dedupe(_absorb_conjunct(expanded, slot, slot_cols, ctx))
             break
         if scheduled is None:
             raise NotOrderable(
@@ -478,8 +471,7 @@ def _execute_plan(plan, items, table: Table, frame: Frame, ctx) -> Optional[Tabl
             _budget_checkpoint()
             slot, n = items[orig]
             expanded = expand(n, table, frame, ctx)
-            table = _dedupe(_absorb_conjunct(expanded, slot, slot_cols, ctx),
-                            ctx)
+            table = _dedupe(_absorb_conjunct(expanded, slot, slot_cols, ctx))
     except NotOrderable:
         return None
     ordered = [slot_cols[s] for s in sorted(slot_cols)]
@@ -662,7 +654,7 @@ def _attach_multiway(atoms: List[joins_planner.Atom],
             return None
         atoms.append(joins_planner.Atom(tuple(rows), tuple(shared)))
 
-    state = getattr(ctx, "state", None)
+    state = ctx.state
     new = [v for v in join_vars if v not in table.cols]
     output = tuple(shared) + tuple(new)
 
@@ -677,25 +669,19 @@ def _attach_multiway(atoms: List[joins_planner.Atom],
         out = joins_planner.columnar_plan_join(atoms, output,
                                                as_columns=True)
         if out is not None:
-            _count_columnar(ctx, "join")
-            if state is not None and hasattr(state, "count_join"):
-                state.count_join("columnar")
+            _columns.count_plane("join")
+            state.count("join", "columnar")
             if isinstance(out, list):
                 result = out
             else:
                 result_cols = out
         else:
-            _count_columnar(ctx, "join_fallback")
+            _columns.count_plane("join_fallback")
 
     if result is None and result_cols is None:
         strategy = joins_planner.choose_strategy(atoms)
-        trie_builder = None
-        index_builder = None
-        if state is not None:
-            if strategy == "leapfrog" and hasattr(state, "sorted_trie"):
-                trie_builder = state.sorted_trie
-            if strategy == "binary" and hasattr(state, "atom_index"):
-                index_builder = state.atom_index
+        trie_builder = state.sorted_trie if strategy == "leapfrog" else None
+        index_builder = state.atom_index if strategy == "binary" else None
         # Every atom handed over is row_key-distinct (relation-backed rows,
         # deduplicated spec projections, deduplicated binding-table atom), so
         # the join layer may skip its output dedup when no columns collapse.
@@ -703,8 +689,7 @@ def _attach_multiway(atoms: List[joins_planner.Atom],
                                              trie_builder=trie_builder,
                                              index_builder=index_builder,
                                              distinct_inputs=True)
-        if state is not None and hasattr(state, "count_join"):
-            state.count_join(strategy)
+        state.count("join", strategy)
 
     if not shared and len(table) == 1:
         # One-row binding table (a rule's unit seed is the fixpoint hot
@@ -737,7 +722,7 @@ def _attach_multiway(atoms: List[joins_planner.Atom],
         # key, so per table row the suffixes are distinct; with the table
         # rows themselves distinct no output row can repeat.
         return Table(table.cols + tuple(new), out_rows, distinct=True)
-    return _dedupe(Table(table.cols + tuple(new), out_rows), ctx)
+    return _dedupe(Table(table.cols + tuple(new), out_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +730,13 @@ def _attach_multiway(atoms: List[joins_planner.Atom],
 # ---------------------------------------------------------------------------
 
 
-def _merge_branch_tables(expanded: List[Table], table: Table, ctx) -> Table:
+def _merge_branch_tables(expanded: List[Table], table: Table) -> Table:
     common_new = None
     for t in expanded:
         new = set(t.cols) - set(table.cols)
         common_new = new if common_new is None else (common_new & new)
     cols = table.cols + tuple(sorted(common_new or ()))
-    return _union(expanded, cols, ctx)
+    return _union(expanded, cols)
 
 
 def _expand_union(node: ast.Node, table: Table, frame: Frame, ctx) -> Table:
@@ -759,7 +744,7 @@ def _expand_union(node: ast.Node, table: Table, frame: Frame, ctx) -> Table:
     if not branches:
         return table.clone_cols()  # {} — the empty relation
     expanded = [expand(branch, table, frame, ctx) for branch in branches]
-    return _merge_branch_tables(expanded, table, ctx)
+    return _merge_branch_tables(expanded, table)
 
 
 # ---------------------------------------------------------------------------
@@ -860,26 +845,17 @@ def _rule_skeleton_builder(rule: Rule):
     return tuple(locals_), tuple(guards), tuple(positional)
 
 
-def _memoized(ctx, key_obj, builder):
-    """``builder(key_obj)`` through the state's identity-pinned skeleton
-    memo (a context without one just builds)."""
-    state = getattr(ctx, "state", None)
-    if state is None or not hasattr(state, "skeleton"):
-        return builder(key_obj)
-    return state.skeleton(key_obj, builder)
-
-
 def _cached_binding_guards(bindings, ctx):
     """Memoized :func:`_binding_guards` for a stable AST bindings tuple
     (quantifiers/abstractions re-split their binders on every expansion
     otherwise). The generated guard nodes are identity-stable, which also
     keeps plan anchors and orderability caches warm."""
-    return _memoized(ctx, bindings, _skeleton_builder)
+    return ctx.state.skeleton(bindings, _skeleton_builder)
 
 
 def _rule_skeleton(rule: Rule, ctx):
     """Memoized head split (locals, guards, positional) of one rule."""
-    return _memoized(ctx, rule, _rule_skeleton_builder)
+    return ctx.state.skeleton(rule, _rule_skeleton_builder)
 
 
 def _expand_exists(node: ast.Exists, table: Table, frame: Frame, ctx) -> Table:
@@ -898,7 +874,7 @@ def _expand_exists(node: ast.Exists, table: Table, frame: Frame, ctx) -> Table:
     # bound by the body (classic FO semantics) are exported.
     drop = set(locals_)
     keep = [c for c in result.cols if c not in drop]
-    projected = _project(result, keep, ctx)
+    projected = _project(result, keep)
     if projected.colsrc is not None:
         if projected.colsrc[2] == ():
             return projected
@@ -911,7 +887,7 @@ def _expand_exists(node: ast.Exists, table: Table, frame: Frame, ctx) -> Table:
         # formula), so clearing cannot introduce duplicates — the
         # projection's dedupe stands.
         return projected
-    return _dedupe(projected.clear_payload(), ctx)
+    return _dedupe(projected.clear_payload())
 
 
 def _expand_forall(node: ast.ForAll, table: Table, frame: Frame, ctx) -> Table:
@@ -971,13 +947,13 @@ def _expand_compare(node: ast.Compare, table: Table, frame: Frame, ctx) -> Table
                     "assignment requires a single value per result tuple"
                 )
             rows.append(row[:-1] + (payload[0], ()))
-        return _dedupe(Table(expanded.cols + (var,), rows), ctx)
+        return _dedupe(Table(expanded.cols + (var,), rows))
     # Filter: expand both sides over the table, compare pointwise.
     stash = _fresh("cmpl")
     t1 = expand(node.lhs, table, frame, ctx).stash_payload(stash)
     t2 = expand(node.rhs, t1, frame, ctx)
     li = t2.col_index(stash)
-    rows = _compare_filter_kernel(t2, li, node.op, ctx)
+    rows = _compare_filter_kernel(t2, li, node.op)
     if rows is None:
         fn = _CMP_FUNCS[node.op]
         rows = []
@@ -989,13 +965,13 @@ def _expand_compare(node: ast.Compare, table: Table, frame: Frame, ctx) -> Table
                 rows.append(row)
     kept = Table(t2.cols, rows, distinct=t2.distinct)
     keep_cols = [c for c in kept.cols if c != stash]
-    projected = _project(kept, keep_cols, ctx)
+    projected = _project(kept, keep_cols)
     return _dedupe(Table(projected.cols,
-                         [r[:-1] + ((),) for r in projected.rows]), ctx)
+                         [r[:-1] + ((),) for r in projected.rows]))
 
 
-def _compare_filter_kernel(t2: Table, li: int, op: str,
-                           ctx) -> Optional[List[Tuple[Any, ...]]]:
+def _compare_filter_kernel(t2: Table, li: int,
+                           op: str) -> Optional[List[Tuple[Any, ...]]]:
     """Vectorized comparison filter over the paired operand columns, or
     ``None`` to fall back (untypeable operands, string orderings — whose
     interning codes are not lexicographic — or a non-scalar operand, whose
@@ -1018,9 +994,9 @@ def _compare_filter_kernel(t2: Table, li: int, op: str,
         mask = _columns.compare_mask(left_col[0], left_col[1], op,
                                      right_col[0], right_col[1])
     if mask is None:
-        _count_columnar(ctx, "filter_fallback")
+        _columns.count_plane("filter_fallback")
         return None
-    _count_columnar(ctx, "filter")
+    _columns.count_plane("filter")
     return [row for row, keep in zip(rows, mask.tolist()) if keep]
 
 
@@ -1048,7 +1024,7 @@ def _expand_binop(node: ast.BinOp, table: Table, frame: Frame, ctx) -> Table:
         for result in builtin.solve((left[0], right[0], FREE)):
             rows.append(row[:-1] + ((result[2],),))
     t3 = Table(t2.cols, rows)
-    return _project(t3, [c for c in t3.cols if c != stash], ctx)
+    return _project(t3, [c for c in t3.cols if c != stash])
 
 
 def _expand_neg(node: ast.Neg, table: Table, frame: Frame, ctx) -> Table:
@@ -1079,7 +1055,7 @@ def _expand_dotjoin(node: ast.DotJoin, table: Table, frame: Frame, ctx) -> Table
         if left and right and _vals_eq(left[-1], right[0]):
             rows.append(row[:-1] + (left[:-1] + right[1:],))
     t3 = Table(t2.cols, rows)
-    return _dedupe(_project(t3, [c for c in t3.cols if c != stash], ctx), ctx)
+    return _dedupe(_project(t3, [c for c in t3.cols if c != stash]))
 
 
 def _expand_left_override(node: ast.LeftOverride, table: Table, frame: Frame,
@@ -1103,7 +1079,7 @@ def _expand_left_override(node: ast.LeftOverride, table: Table, frame: Frame,
             payload = r[-1]
             if payload and (len(payload), payload[:-1]) not in keys:
                 rows.append(row[:-1] + (row[-1] + payload,))
-    return _dedupe(Table(table.cols, rows), ctx)
+    return _dedupe(Table(table.cols, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1163,7 +1139,7 @@ def _expand_abstraction(node: ast.Abstraction, table: Table, frame: Frame,
                 prefix += (cval[0],)
         if ok:
             rows.append(tuple(row[i] for i in keep_idx) + (prefix + row[-1],))
-    return _dedupe(Table(tuple(keep), rows), ctx)
+    return _dedupe(Table(tuple(keep), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1525,7 +1501,7 @@ def _pregenerate_value_args(args, table: Table, frame: Frame, ctx):
                     "first-order argument must evaluate to unary tuples"
                 )
             rows.append(row[:-1] + (payload[0], ()))
-        table = _dedupe(Table(expanded.cols + (col,), rows), ctx)
+        table = _dedupe(Table(expanded.cols + (col,), rows))
         frame = frame.with_scope([col])
         new_args.append(ast.Ref(col))
     return tuple(new_args), table, frame
@@ -1570,9 +1546,15 @@ def _match_realized_rows(rel: Relation, realized, partial: bool,
         else:
             break
     if prefix_len:
-        index = ctx.state.index(rel, prefix_len)
         key = tuple(item[1] for item in realized[:prefix_len])
-        candidates = index.get(key, ())
+        rows = rel._rows
+        if prefix_len == len(realized) and not partial and rows is not None:
+            # Fully bound: one get in the row dict the relation holds, not
+            # an index over all of it (rebuilt for every new base value).
+            hit = rows.get(model_row_key(key))
+            candidates = () if hit is None else (hit,)
+        else:
+            candidates = ctx.state.index(rel, prefix_len).get(key, ())
     else:
         candidates = rel.rows()
     for tup in candidates:
@@ -1609,7 +1591,7 @@ def _match_with_items(rel: Relation, items, partial: bool, table: Table,
     if not partial and table.distinct \
             and all(k in _INJECTIVE_KINDS for k, _ in items):
         return Table(out_cols, rows, distinct=True)
-    return _dedupe(Table(out_cols, rows), ctx)
+    return _dedupe(Table(out_cols, rows))
 
 
 def _realize_items(items, row):
@@ -1795,7 +1777,7 @@ def _apply_builtin(builtin: Builtin, args, partial: bool, table: Table,
                     binds[v] for v in invert_vars
                 )
                 rows.append(base + new_vals + (payload0 + suffix,))
-    return _strip_hidden(_dedupe(Table(out_cols, rows), ctx))
+    return _strip_hidden(_dedupe(Table(out_cols, rows)))
 
 
 # -- reduce -------------------------------------------------------------------
@@ -1832,7 +1814,7 @@ def _apply_reduce(args, partial: bool, table: Table, frame: Frame, ctx) -> Table
     var = _is_unbound_var(check, result, frame)
     if var is not None:
         rows2 = [row[:-1] + (row[-1][-1], row[-1][:-1]) for row in result.rows]
-        return _dedupe(Table(result.cols + (var,), rows2), ctx)
+        return _dedupe(Table(result.cols + (var,), rows2))
     filtered: List[Tuple[Any, ...]] = []
     for row in result.rows:
         sub = Table(result.cols, [row[:-1] + ((),)])
@@ -1840,7 +1822,7 @@ def _apply_reduce(args, partial: bool, table: Table, frame: Frame, ctx) -> Table
         target = {r[-1] for r in vals.rows}
         if (row[-1][-1],) in target:
             filtered.append(row[:-1] + (row[-1][:-1],))
-    return _dedupe(Table(result.cols, filtered), ctx)
+    return _dedupe(Table(result.cols, filtered))
 
 
 def _second_order_value(node: ast.Node, table: Table, frame: Frame, ctx):
@@ -1875,9 +1857,9 @@ def _fold(op, values: List[Any], frame: Frame, ctx) -> Optional[Any]:
         # fold, so bit-identical to chaining the binary builtin below.
         fast = _columns.fold_values(op.name, values)
         if fast is not None:
-            _count_columnar(ctx, "fold")
+            _columns.count_plane("fold")
             return fast
-        _count_columnar(ctx, "fold_fallback")
+        _columns.count_plane("fold_fallback")
     acc = values[0]
     for v in values[1:]:
         acc = _apply_binary(op, acc, v, frame, ctx)
@@ -1992,7 +1974,7 @@ def _attach_folded(sub: Table, folded: Sequence[Optional[Any]], value_args,
     if partial and not value_args:
         rows = [row[:-1] + (row[-1] + (value,),)
                 for row, value in zip(sub.rows, folded) if value is not None]
-        return _dedupe(Table(sub.cols, rows, distinct=sub.distinct), ctx)
+        return _dedupe(Table(sub.cols, rows, distinct=sub.distinct))
     # Value arguments (``min[R](m)``, ``min[…] = 5``): the existing
     # matcher, once, over all extents keyed by their row's position.
     pos_col = _fresh("foldrow")
@@ -2007,7 +1989,7 @@ def _attach_folded(sub: Table, folded: Sequence[Optional[Any]], value_args,
     at = matched.col_index(pos_col)
     rows = [row[:at] + row[at + 1:] for row in matched.rows]
     return _dedupe(Table(matched.cols[:at] + matched.cols[at + 1:], rows,
-                         distinct=sub.distinct and matched.distinct), ctx)
+                         distinct=sub.distinct and matched.distinct))
 
 
 # -- closures ------------------------------------------------------------------
@@ -2067,7 +2049,7 @@ def _apply_closure(closure: Closure, args, partial: bool, table: Table,
                 f"no rule of {closure.name} is evaluable here: {first_error}"
             )
         return table.clone_cols()
-    return _merge_branch_tables(results, table, ctx)
+    return _merge_branch_tables(results, table)
 
 
 def _check_ambiguity(closure: Closure, args, group_ks: Set[int],
@@ -2148,7 +2130,7 @@ def _apply_group(closure: Closure, k: int, rel_args, value_args, partial: bool,
                               full_orderable)
         for key, rows in row_groups.items()
     ]
-    return _strip_hidden(_merge_branch_tables(out_tables, table, ctx))
+    return _strip_hidden(_merge_branch_tables(out_tables, table))
 
 
 def _apply_group_constant(closure: Closure, rel_values, value_args,
@@ -2189,7 +2171,7 @@ def _apply_group_constant(closure: Closure, rel_values, value_args,
                 _match_realized_rows(extent, concrete, partial, row[:-1],
                                      row[-1], new_vars, ctx)
             )
-    return _dedupe(Table(out_cols, out_rows), ctx)
+    return _dedupe(Table(out_cols, out_rows))
 
 
 def _realized_arity(realized) -> Optional[int]:
@@ -2329,7 +2311,7 @@ def _apply_group_correlated(closure: Closure, k: int, rel_args, value_args,
                                   partial, Table(sub_cols, [sub_row]),
                                   inner_frame, ctx, full_orderable)
         )
-    return _merge_branch_tables(out_tables, Table(sub_cols, []), ctx)
+    return _merge_branch_tables(out_tables, Table(sub_cols, []))
 
 
 # ---------------------------------------------------------------------------
@@ -2774,7 +2756,7 @@ def eval_rule_relation(rule: Rule, env: Env, ctx,
     got = _eval_rule_result(rule, env, ctx, demand, full_arity, seed)
     if got is None:
         return EMPTY
-    rel = _emit_columnar(*got, ctx)
+    rel = _emit_columnar(*got)
     if rel is None:
         keyed = _emit_keyed(*got, ctx)
         if not keyed:
@@ -2847,8 +2829,8 @@ def _seed_table(rule: Rule, positional, seed: Relation) -> Table:
     return Table(cols, [row + ((),) for row in seed.rows()], distinct=True)
 
 
-def _emit_columnar(result: Table, positional, post, frame: Frame,
-                   ctx) -> Optional[Relation]:
+def _emit_columnar(result: Table, positional, post,
+                   frame: Frame) -> Optional[Relation]:
     """Emit a rule's head tuples as a columnar-native Relation, or None to
     decline (the keyed emitter is always correct).
 
@@ -2886,7 +2868,7 @@ def _emit_columnar(result: Table, positional, post, frame: Frame,
         out = _columns.ColumnSet(tuple(t for t, _ in cols),
                                  tuple(a[keep] for _, a in cols),
                                  len(keep))
-    _count_columnar(ctx, "emit")
+    _columns.count_plane("emit")
     return Relation.from_columns(out)
 
 

@@ -44,7 +44,8 @@ from repro.engine.expand import (
     expand,
     rule_orderable,
 )
-from repro.engine.runtime import Closure, Env, Rule, compile_rule
+from repro.engine.runtime import (Closure, Env, Rule, bounded_store,
+                                  compile_rule)
 from repro.lang import ast, parse_expression, parse_program
 from repro.model import columns as _columns
 from repro.model.relation import (EMPTY, Changes, Relation, apply_delta,
@@ -79,33 +80,55 @@ def _delta_replaces_most(plus: Relation, minus: Relation,
 
 @contextlib.contextmanager
 def _plane_stats(state):
-    """Route Relation-layer storage-plane events (columnar-native
-    constructions, lazy keyed-dict materializations) into this
-    evaluation's counter dict for the duration of the block.
+    """Route storage-plane and kernel events into this evaluation's
+    ``columnar`` counters for the duration of the block.
 
-    The Relation layer has no evaluation context, so it reports through a
-    thread-local sink (:func:`repro.model.columns.count_plane`); installing
-    the *state's* dict here — at every evaluation entry point — attributes
-    each event to the state doing the work. Snapshot reads therefore count
-    into their own :class:`SnapshotState` (read-only views must never bump
-    parent counters), and concurrent readers on different threads never
-    cross-attribute."""
+    Neither the Relation layer nor the kernel wrappers in
+    :mod:`repro.engine.expand` count into a state directly: they report
+    through a thread-local sink (:func:`repro.model.columns.count_plane`),
+    and installing the *state's* table here — at every evaluation entry
+    point — attributes each event to the state doing the work. Snapshot
+    reads therefore count into their own state (read-only views must
+    never bump parent counters), and concurrent readers on different
+    threads never cross-attribute."""
     prev = _columns.swap_stats_sink(
-        state.columnar_stats if state is not None else None)
+        state.counters["columnar"] if state is not None else None)
     try:
         yield
     finally:
         _columns.swap_stats_sink(prev)
 
 
+#: The counter families of an :class:`EvalState`: rule evaluations per
+#: name, multiway joins per strategy, maintenance events, plan-cache
+#: events, and columnar-plane events (fed only through
+#: :func:`_plane_stats`' sink).
+COUNTER_FAMILIES = ("eval", "join", "maintenance", "plan", "columnar")
+
+
 class EvalState:
-    """Mutable evaluation state: extents, instance memos, and indexes.
+    """Mutable evaluation state: extents, counters, instance memos, plans
+    and indexes.
 
     Every name (base or derived) carries a *generation* counter, bumped
     whenever its extent changes. Instance memos are keyed by the generations
     of the names they (transitively) reference, so an update to one base
     relation only invalidates the memos that could observe it — the
     foundation of the session layer's incremental re-evaluation.
+
+    The caches are bounded dicts: past its ``*_LIMIT`` a cache evicts its
+    oldest half (:func:`~repro.engine.runtime.bounded_store`). Identity-
+    keyed entries are ``key -> (pin, value)``: the pin is the object whose
+    ``id()`` the key holds, so the key stays its own for exactly as long as
+    the entry lives.
+
+    A state built with a ``parent`` is the state of a snapshot or fork of
+    that program: it copies the parent's extents and generation vectors,
+    starts its own counters, and reads every cache own entry first, then
+    the parent's — one atomic ``dict.get`` (safe against a concurrent
+    writer under the GIL), validated by identity pin or rules generation.
+    Everything it computes, evicts, drops or counts stays in its own dicts,
+    so the parent is never written.
     """
 
     #: Soft caps for the long-lived session caches (entries, not bytes):
@@ -116,44 +139,69 @@ class EvalState:
     PLAN_LIMIT = 4096
     SKELETON_LIMIT = 2048
 
-    def __init__(self) -> None:
-        self.extents: Dict[str, Relation] = {}
-        self.name_gen: Dict[str, int] = {}
-        self.eval_counts: Dict[str, int] = {}
-        self.join_stats: Dict[str, int] = {}
-        self.maint_stats: Dict[str, int] = {}
-        self.columnar_stats: Dict[str, int] = {}
+    def __init__(self, parent: Optional["EvalState"] = None) -> None:
+        if parent is None:
+            self.extents: Dict[str, Relation] = {}
+            self.name_gen: Dict[str, int] = {}
+            # Rules-generation counters: bumped only when a name's *rules*
+            # change (not on data updates), so plan signatures survive
+            # fixpoint iterations and incremental maintenance.
+            self.rule_gen: Dict[str, int] = {}
+            # Demand evaluation's in-progress instances and touch sets (a
+            # child state, SnapshotState, keeps them per thread).
+            self.in_progress: Dict[Tuple[Any, ...], Relation] = {}
+            self.touch_stack: List[Set[Tuple[Any, ...]]] = []
+        else:
+            self.extents = dict(parent.extents)
+            self.name_gen = dict(parent.name_gen)
+            self.rule_gen = dict(parent.rule_gen)
+        self._parent = parent
+        #: family (see COUNTER_FAMILIES) -> event -> count.
+        self.counters: Dict[str, Dict[str, int]] = {
+            family: {} for family in COUNTER_FAMILIES}
+        # Instance memo: refs-signature key -> Relation (value-keyed, so
+        # unpinned).
         self.memo: Dict[Tuple[Any, ...], Relation] = {}
-        self.in_progress: Dict[Tuple[Any, ...], Relation] = {}
-        self.touch_stack: List[Set[Tuple[Any, ...]]] = []
-        # key -> (pinned relation, prefix index); the pin keeps the
-        # id()-keyed entry alive exactly as long as the entry itself.
-        self._indexes: Dict[Tuple[int, int],
-                            Tuple[Relation, Dict[Tuple[Any, ...], List[Tuple[Any, ...]]]]] = {}
+        # Compiled executable plans (repro.engine.plan): plan key ->
+        # (pinned anchor object, ConjunctionPlan), valid while the plan's
+        # rules-generation signature matches.
+        self.plans: Dict[Tuple[Any, ...], Tuple[Any, Any]] = {}
+        # (id(relation), prefix length) -> (pinned relation, prefix index).
+        # A base update installs a *new* Relation object (generation bump),
+        # so no cache below can serve a stale entry.
+        self._indexes: Dict[Tuple[int, int], Tuple[Relation, Any]] = {}
         # (id(relation), column permutation) -> (pinned relation, sorted
-        # trie); same pinning discipline as the atom indexes. Because a base
-        # update installs a *new* Relation object (generation bump), stale
-        # tries can never be observed — prepared queries re-running against
-        # unchanged relations hit the cache.
-        self._tries: Dict[Tuple[int, Tuple[int, ...]], Tuple[Relation, Any]] = {}
+        # trie): prepared queries re-running against unchanged relations
+        # hit it.
+        self._tries: Dict[Tuple[int, Tuple[int, ...]],
+                          Tuple[Relation, Any]] = {}
         # (id(relation), key positions) -> (pinned relation, hash index in
         # sort_key space): the binary-join analog of the sorted-trie cache,
         # so fixpoint iterations stop re-hashing unchanged relations.
         self._atom_indexes: Dict[Tuple[int, Tuple[int, ...]],
-                                 Tuple[Relation, Dict[Tuple[Any, ...],
-                                                      List[Tuple[Any, ...]]]]] = {}
-        # Compiled executable plans (repro.engine.plan): plan key ->
-        # (pinned anchor object, ConjunctionPlan). The pin keeps the
-        # id()-based key stable for exactly as long as the entry lives.
-        self.plans: Dict[Tuple[Any, ...], Tuple[Any, Any]] = {}
-        self.plan_stats: Dict[str, int] = {}
-        # Rules-generation counters: bumped only when a name's *rules*
-        # change (not on data updates), so plan signatures survive
-        # fixpoint iterations and incremental maintenance.
-        self.rule_gen: Dict[str, int] = {}
+                                 Tuple[Relation, Any]] = {}
         # id(bindings-or-rule) -> (pinned key object, skeleton): memoized
         # _binding_guards results for stable AST binding tuples and rules.
         self._skeletons: Dict[int, Tuple[Any, Any]] = {}
+
+    def _inherited(self, cache: str, key):
+        """The parent's entry for ``key`` in the cache named ``cache``
+        (``None`` without a parent or an entry)."""
+        parent = self._parent
+        return None if parent is None else getattr(parent, cache).get(key)
+
+    def _build(self, cache: str, key, pin, limit: int, make, *args):
+        """The miss path of an identity-pinned lookup in the cache named
+        ``cache``: the parent's value if its entry pins ``pin``, else
+        ``make(*args)``, stored here."""
+        parent = self._parent
+        if parent is not None:
+            entry = getattr(parent, cache).get(key)
+            if entry is not None and entry[0] is pin:
+                return entry[1]
+        value = make(*args)
+        bounded_store(getattr(self, cache), key, (pin, value), limit)
+        return value
 
     def bump_name(self, name: str) -> None:
         self.name_gen[name] = self.name_gen.get(name, 0) + 1
@@ -161,10 +209,13 @@ class EvalState:
     def bump_rule_gen(self, name: str) -> None:
         self.rule_gen[name] = self.rule_gen.get(name, 0) + 1
 
-    # -- compiled plans ------------------------------------------------------
+    def count(self, family: str, event: str, n: int = 1) -> None:
+        """Bump ``event`` in one counter family (the tables behind the
+        ``*_statistics()`` and ``evaluation_counts()`` accessors)."""
+        table = self.counters[family]
+        table[event] = table.get(event, 0) + n
 
-    def count_plan(self, event: str, n: int = 1) -> None:
-        self.plan_stats[event] = self.plan_stats.get(event, 0) + n
+    # -- compiled plans ------------------------------------------------------
 
     def plan_sig(self, refs) -> Tuple[Tuple[str, int], ...]:
         """The rules-generation signature of a refs set, as stored in a
@@ -172,28 +223,31 @@ class EvalState:
         gens = self.rule_gen
         return tuple(sorted((n, gens.get(n, 0)) for n in refs))
 
-    def plan_lookup(self, key):
-        """The cached plan for ``key``, if present and still valid under
-        the current rules generations (stale entries are dropped here)."""
-        entry = self.plans.get(key)
-        if entry is None:
-            return None
-        plan = entry[1]
+    def _plan_current(self, plan) -> bool:
         gens = self.rule_gen
         for name, gen in plan.sig:
             if gens.get(name, 0) != gen:
-                self.plans.pop(key, None)
-                self.count_plan("invalidated")
-                return None
-        return plan
+                return False
+        return True
+
+    def plan_lookup(self, key):
+        """The cached plan for ``key``, if present and still valid under
+        this state's rules generations: a stale own entry is dropped here,
+        a stale parent entry is left alone (it may be valid over there)."""
+        entry = self.plans.get(key)
+        if entry is not None:
+            if self._plan_current(entry[1]):
+                return entry[1]
+            self.plans.pop(key, None)
+            self.count("plan", "invalidated")
+        entry = self._inherited("plans", key)
+        if entry is not None and self._plan_current(entry[1]):
+            return entry[1]
+        return None
 
     def install_plan(self, key, anchor, plan) -> None:
-        plans = self.plans
-        plans[key] = (anchor, plan)
-        self.count_plan("compiled")
-        if len(plans) > self.PLAN_LIMIT:
-            for old_key in list(plans)[: self.PLAN_LIMIT // 2]:
-                plans.pop(old_key, None)
+        bounded_store(self.plans, key, (anchor, plan), self.PLAN_LIMIT)
+        self.count("plan", "compiled")
 
     def drop_plans_for(self, names: Set[str]) -> None:
         """Drop every plan whose transitive refs meet ``names`` (rule
@@ -205,7 +259,7 @@ class EvalState:
         for key in dead:
             self.plans.pop(key, None)
         if dead:
-            self.count_plan("invalidated", len(dead))
+            self.count("plan", "invalidated", len(dead))
 
     def skeleton(self, key_obj, builder):
         """Memoized ``builder(key_obj)`` keyed on the identity of a stable
@@ -215,21 +269,19 @@ class EvalState:
         entry = self._skeletons.get(key)
         if entry is not None and entry[0] is key_obj:
             return entry[1]
-        value = builder(key_obj)
-        if len(self._skeletons) >= self.SKELETON_LIMIT:
-            for old_key in list(self._skeletons)[: self.SKELETON_LIMIT // 2]:
-                self._skeletons.pop(old_key, None)
-        self._skeletons[key] = (key_obj, value)
-        return value
+        return self._build("_skeletons", key, key_obj, self.SKELETON_LIMIT,
+                           builder, key_obj)
 
     def memo_get(self, key: Tuple[Any, ...]) -> Optional[Relation]:
-        """Instance-memo lookup (single atomic ``get``, so concurrent
-        readers sharing a state can never observe a half-deleted entry;
-        snapshots also chain to their parent's warm memo here)."""
-        return self.memo.get(key)
+        """Instance-memo lookup: single atomic ``get`` calls, so concurrent
+        readers sharing a state can never observe a half-deleted entry.
+        A parent hit is valid by construction: its key embeds the
+        (name, generation) signature this state computed."""
+        hit = self.memo.get(key)
+        return hit if hit is not None else self._inherited("memo", key)
 
-    def count_eval(self, name: str) -> None:
-        self.eval_counts[name] = self.eval_counts.get(name, 0) + 1
+    def memoize(self, key: Tuple[Any, ...], rel: Relation) -> None:
+        bounded_store(self.memo, key, rel, self.MEMO_LIMIT)
 
     def set_extent(self, name: str, rel: Relation) -> bool:
         """Install ``rel`` and bump the generation iff it is a change."""
@@ -250,35 +302,14 @@ class EvalState:
         """Evict memo entries whose reference signature mentions ``names``
         (their keys are already unreachable; this just frees memory).
         Entries made stale through Relation-*valued* keys (e.g. ``TC[E]``
-        after E changed) are not identifiable here; the MEMO_LIMIT cap in
-        :meth:`memoize` bounds those."""
+        after E changed) are not identifiable here; the MEMO_LIMIT cap
+        bounds those."""
         if not self.memo:
             return
         dead = [key for key in self.memo
                 if any(n in names for n, _ in key[0])]
         for key in dead:
             self.memo.pop(key, None)
-
-    def memoize(self, key: Tuple[Any, ...], rel: Relation) -> None:
-        memo = self.memo
-        memo[key] = rel
-        if len(memo) > self.MEMO_LIMIT:
-            for old_key in list(memo)[: self.MEMO_LIMIT // 2]:
-                memo.pop(old_key, None)
-
-    def count_join(self, strategy: str) -> None:
-        """Record one conjunction routed through the multiway-join path."""
-        self.join_stats[strategy] = self.join_stats.get(strategy, 0) + 1
-
-    def count_maintenance(self, event: str, n: int = 1) -> None:
-        """Record a maintenance event (the explain counters behind
-        ``Session.maintenance_statistics()``)."""
-        self.maint_stats[event] = self.maint_stats.get(event, 0) + n
-
-    def count_columnar(self, event: str, n: int = 1) -> None:
-        """Record a columnar-kernel hit or fallback (the counters behind
-        ``Session.columnar_statistics()``)."""
-        self.columnar_stats[event] = self.columnar_stats.get(event, 0) + n
 
     def drop_indexes_for(self, rels: Iterable[Relation]) -> None:
         """Drop atom-index and sorted-trie entries pinned to exactly the
@@ -289,77 +320,73 @@ class EvalState:
         ids = {id(r) for r in rels if r is not None}
         if not ids:
             return
-        for key in [k for k in self._indexes if k[0] in ids]:
-            self._indexes.pop(key, None)
-        for key in [k for k in self._tries if k[0] in ids]:
-            self._tries.pop(key, None)
-        for key in [k for k in self._atom_indexes if k[0] in ids]:
-            self._atom_indexes.pop(key, None)
+        for cache in (self._indexes, self._tries, self._atom_indexes):
+            for key in [k for k in cache if k[0] in ids]:
+                cache.pop(key, None)
 
     def index(self, rel: Relation, prefix_len: int):
         """Hash index of ``rel`` on its first ``prefix_len`` positions."""
         key = (id(rel), prefix_len)
         entry = self._indexes.get(key)
-        if entry is None:
-            index: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-            for tup in rel.rows():
-                if len(tup) >= prefix_len:
-                    index.setdefault(tup[:prefix_len], []).append(tup)
-            if len(self._indexes) >= self.INDEX_LIMIT:
-                for old_key in list(self._indexes)[: self.INDEX_LIMIT // 2]:
-                    self._indexes.pop(old_key, None)
-            self._indexes[key] = entry = (rel, index)
-        return entry[1]
+        if entry is not None:
+            return entry[1]
+        return self._build("_indexes", key, rel, self.INDEX_LIMIT,
+                           _prefix_index, rel, prefix_len)
 
     def sorted_trie(self, atom, perm: Tuple[int, ...]):
         """Cached sorted trie for a leapfrog join atom.
 
         ``atom`` is a :class:`repro.joins.planner.Atom` whose ``source`` is
         the backing :class:`Relation`; ``perm`` the column permutation the
-        global variable order imposes. The pinned relation keeps the id()
-        key stable for exactly as long as the entry lives, so one trie
-        build serves every evaluation until the relation's generation
-        changes (updates install new Relation objects)."""
-        from repro.joins.leapfrog import build_sorted_trie
-        from repro.joins.planner import permuted_rows
-
+        global variable order imposes. One trie build serves every
+        evaluation until the relation's generation changes (updates
+        install new Relation objects)."""
         source = atom.source
         key = (id(source), tuple(perm))
         entry = self._tries.get(key)
         if entry is not None and entry[0] is source:
             return entry[1]
-        trie = build_sorted_trie(permuted_rows(atom, perm))
-        if len(self._tries) >= self.TRIE_LIMIT:
-            for old_key in list(self._tries)[: self.TRIE_LIMIT // 2]:
-                self._tries.pop(old_key, None)
-        self._tries[key] = (source, trie)
-        return trie
+        return self._build("_tries", key, source, self.TRIE_LIMIT,
+                           _sorted_trie, atom, perm)
 
     def atom_index(self, atom, positions: Tuple[int, ...]):
         """Cached hash index of a join atom on the given column positions
         (``sort_key`` space — the binary join's key semantics).
 
         ``atom`` is a :class:`repro.joins.planner.Atom` whose ``source`` is
-        the backing :class:`Relation`; the pin keeps the id() key stable
-        for as long as the entry lives, so fixpoint iterations and
+        the backing :class:`Relation`, so fixpoint iterations and
         prepared-query re-runs probe a prebuilt index instead of re-hashing
         the (unchanged) relation every call."""
-        from repro.model.values import sort_key
-
         source = atom.source
         key = (id(source), tuple(positions))
         entry = self._atom_indexes.get(key)
         if entry is not None and entry[0] is source:
             return entry[1]
-        index: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-        for row in atom.rows:
-            index.setdefault(tuple(sort_key(row[i]) for i in positions),
-                             []).append(row)
-        if len(self._atom_indexes) >= self.INDEX_LIMIT:
-            for old_key in list(self._atom_indexes)[: self.INDEX_LIMIT // 2]:
-                self._atom_indexes.pop(old_key, None)
-        self._atom_indexes[key] = (source, index)
-        return index
+        return self._build("_atom_indexes", key, source, self.INDEX_LIMIT,
+                           _atom_index, atom, positions)
+
+
+def _prefix_index(rel: Relation, prefix_len: int):
+    index: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
+    for tup in rel.rows():
+        if len(tup) >= prefix_len:
+            index.setdefault(tup[:prefix_len], []).append(tup)
+    return index
+
+
+def _sorted_trie(atom, perm: Tuple[int, ...]):
+    from repro.joins.leapfrog import build_sorted_trie
+    from repro.joins.planner import permuted_rows
+    return build_sorted_trie(permuted_rows(atom, perm))
+
+
+def _atom_index(atom, positions: Tuple[int, ...]):
+    from repro.model.values import sort_key
+    index: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
+    for row in atom.rows:
+        index.setdefault(tuple(sort_key(row[i]) for i in positions),
+                         []).append(row)
+    return index
 
 
 class EvalContext:
@@ -926,7 +953,7 @@ class RelProgram:
         dropped = self._drop_dependent_extents({name})
         state.prune_memo({name})
         state.drop_indexes_for(dropped + [old])
-        state.count_maintenance("full_invalidations")
+        state.count("maintenance", "full_invalidations")
 
     def _drop_dependent_extents(self, changed: Set[str]) -> List[Relation]:
         """Drop every extent that can observe ``changed``; returns the
@@ -956,10 +983,8 @@ class RelProgram:
             (target, dataclasses.replace(rule, body=body))
             for target, body in _delta_variants_with_targets(rule, set(watch))
         ]
-        if len(self._variant_cache) >= self.VARIANT_LIMIT:
-            for old_key in list(self._variant_cache)[: self.VARIANT_LIMIT // 2]:
-                self._variant_cache.pop(old_key, None)
-        self._variant_cache[key] = (rule, entries)
+        bounded_store(self._variant_cache, key, (rule, entries),
+                      self.VARIANT_LIMIT)
         return entries
 
     def _all_rule_refs(self) -> FrozenSet[str]:
@@ -1177,7 +1202,7 @@ class RelProgram:
         return ctx.state.extents.get(name, self._base.get(name, EMPTY))
 
     def _eval_name_once(self, name: str, ctx: EvalContext) -> Relation:
-        ctx.state.count_eval(name)
+        ctx.state.count("eval", name)
         result = self._base.get(name, EMPTY)
         for rule in self._rules[name]:
             result = result.union(eval_rule_relation(rule, Env.EMPTY, ctx))
@@ -1261,7 +1286,7 @@ class RelProgram:
                             derived = derived.union(eval_rule_relation(
                                 variant_rule, Env.EMPTY, ctx))
                     if evaluated:
-                        state.count_eval(m)
+                        state.count("eval", m)
                         fresh = absorb(m, derived)
                         if fresh:
                             next_frontier[m] = fresh
@@ -1335,7 +1360,7 @@ class RelProgram:
         mirroring :meth:`join_statistics`."""
         if self._state is None:
             return {}
-        return dict(self._state.maint_stats)
+        return dict(self._state.counters["maintenance"])
 
     def apply_updates(
         self,
@@ -1450,18 +1475,18 @@ class RelProgram:
                     state.drop_extent(n)
                 state.drop_indexes_for(dropped)
                 unknown |= set(component)
-                state.count_maintenance("dropped_strata")
+                state.count("maintenance", "dropped_strata")
                 continue
             trigger = {n: changed[n] for n in comp_refs if n in changed}
             if not (comp_refs & opaque) and \
                     self._maintenance_eligible(component, set(trigger)):
                 net = self._maintain_component_delta(
                     component, materializable, trigger, pre, ctx)
-                state.count_maintenance("maintained_strata")
+                state.count("maintenance", "maintained_strata")
             else:
                 net = self._recompute_component_diff(
                     component, materializable, pre, ctx)
-                state.count_maintenance("recomputed_strata")
+                state.count("maintenance", "recomputed_strata")
             changed.update(net)
             if len(materializable) < len(component):
                 # Mixed component: the non-materialized members remain
@@ -1618,8 +1643,8 @@ class RelProgram:
         remaining = {m: c for m, c in cand.items() if c}
         if not remaining:
             return remaining
-        state.count_maintenance("overdeleted_tuples",
-                                sum(len(c) for c in remaining.values()))
+        state.count("maintenance", "overdeleted_tuples",
+                    sum(len(c) for c in remaining.values()))
         for m, c in remaining.items():
             state.extents[m] = old_ext[m].difference(c)
         while True:
@@ -1634,8 +1659,8 @@ class RelProgram:
                     state.extents[m] = state.extents[m].union(survivors)
                     remaining[m] = c.difference(survivors)
                     added = True
-                    state.count_maintenance("rederived_tuples",
-                                            len(survivors))
+                    state.count("maintenance", "rederived_tuples",
+                                len(survivors))
             if not added or not recursive:
                 return remaining
 
@@ -1645,7 +1670,7 @@ class RelProgram:
         current state? One evaluation per rule, seeded with the candidates
         not yet re-derived; a head that cannot be seeded is evaluated in
         full and intersected (valid: the stratum is materialised)."""
-        ctx.state.count_eval(name)
+        ctx.state.count("eval", name)
         survivors = candidates.intersect(self._base.get(name, EMPTY))
         rest = candidates.difference(survivors)
         for rule in self._rules[name]:
@@ -1776,7 +1801,7 @@ class RelProgram:
         and benchmarks: unchanged strata keep their counts across updates."""
         if self._state is None:
             return {}
-        return dict(self._state.eval_counts)
+        return dict(self._state.counters["eval"])
 
     def join_statistics(self) -> Dict[str, int]:
         """How many conjunctions were routed through the multiway-join path,
@@ -1784,7 +1809,7 @@ class RelProgram:
         should hit the WCOJ path can assert its counter moved."""
         if self._state is None:
             return {}
-        return dict(self._state.join_stats)
+        return dict(self._state.counters["join"])
 
     def plan_statistics(self) -> Dict[str, int]:
         """Plan-cache explain counters: "compiled" (fresh interpreted
@@ -1793,7 +1818,7 @@ class RelProgram:
         "invalidated" (plans dropped by rule changes)."""
         if self._state is None:
             return {}
-        return dict(self._state.plan_stats)
+        return dict(self._state.counters["plan"])
 
     def columnar_statistics(self) -> Dict[str, int]:
         """Columnar-kernel explain counters: per-kernel hit counts
@@ -1802,7 +1827,7 @@ class RelProgram:
         (mixed arity, untypeable values, numpy unavailable)."""
         if self._state is None:
             return {}
-        return dict(self._state.columnar_stats)
+        return dict(self._state.counters["columnar"])
 
     def output(self) -> Relation:
         """The contents of the ``output`` control relation (Section 3.4)."""

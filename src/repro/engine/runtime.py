@@ -180,6 +180,17 @@ class Closure:
         return f"<closure {self.name}/{len(self.rules)} rules>"
 
 
+def bounded_store(cache: Dict, key, entry, LIMIT: int) -> None:
+    """``cache[key] = entry``; past ``LIMIT`` entries the oldest half is
+    evicted (dicts keep insertion order). The one eviction rule of the
+    engine's bounded caches; eviction pops with a default, so two threads
+    evicting the same keys never raise."""
+    cache[key] = entry
+    if len(cache) > LIMIT:
+        for old_key in list(cache)[: LIMIT // 2]:
+            cache.pop(old_key, None)
+
+
 #: id(abstraction node) -> (pinned node, compiled rule): abstraction
 #: literals are applied per row / per instance, and a fresh Rule per call
 #: would defeat every id()-keyed cache downstream (compiled plans,
@@ -209,10 +220,7 @@ def literal_rule(node: ast.Abstraction) -> Rule:
         pos=node.pos,
     )
     rule = compile_rule(defn)
-    if len(_LITERAL_RULES) >= _LITERAL_RULE_LIMIT:
-        for old_key in list(_LITERAL_RULES)[: _LITERAL_RULE_LIMIT // 2]:
-            _LITERAL_RULES.pop(old_key, None)
-    _LITERAL_RULES[id(node)] = (node, rule)
+    bounded_store(_LITERAL_RULES, id(node), (node, rule), _LITERAL_RULE_LIMIT)
     return rule
 
 

@@ -13,13 +13,15 @@ story. A :class:`ProgramSnapshot` is an immutable view of a
   :class:`~repro.model.relation.Relation` values are immutable;
 - **what is shared** — the parent's warm evaluation caches: compiled
   plans, sorted tries, hash-join indexes, prefix indexes, binding-guard
-  skeletons, and instance memos. :class:`SnapshotState` reads them
-  through single atomic ``dict.get`` calls (safe against a concurrent
-  writer under the GIL) and validates every hit against the snapshot's
-  *captured* generations and identity pins, so a reader can never observe
-  a cache entry from a future program state. Everything the snapshot
-  computes itself lands in private overlay dicts — snapshots never write
-  to (or invalidate) the parent's caches;
+  skeletons, and instance memos. The snapshot's state is an
+  :class:`~repro.engine.program.EvalState` built with the parent's as its
+  parent: each cache is read own entry first, then the parent's through
+  one atomic ``dict.get`` (safe against a concurrent writer under the
+  GIL), and a parent hit is validated against the snapshot's *captured*
+  rules generations or identity pins, so a reader can never observe a
+  cache entry from a future program state. Everything the snapshot computes,
+  evicts, drops or counts stays in its own dicts — snapshots never write
+  to (or invalidate) the parent's caches or counters;
 - **what is isolated per reader thread** — the in-progress instance
   approximations and touch stacks of demand-driven evaluation, and the
   orderability recursion stack. These are genuinely per-*evaluation*
@@ -59,36 +61,16 @@ class SnapshotWriteError(EvaluationError):
 
 
 class SnapshotState(EvalState):
-    """An :class:`EvalState` overlay: private extents and generation
-    vectors captured from the parent, parent caches shared read-only,
-    per-thread demand-evaluation state."""
+    """The :class:`EvalState` of a snapshot or fork, built with the live
+    state as its parent, whose demand-evaluation state is per thread."""
+
+    # The inherited lookup, bound on this class as well so it can be
+    # replaced here on its own (``tests/support/oracles.py`` does).
+    atom_index = EvalState.atom_index
 
     def __init__(self, parent: EvalState) -> None:
-        # Captured, snapshot-private copies (the frozen generation vector).
-        self.extents: Dict[str, Relation] = dict(parent.extents)
-        self.name_gen: Dict[str, int] = dict(parent.name_gen)
-        self.rule_gen: Dict[str, int] = dict(parent.rule_gen)
-        # Snapshot-local counters: read-only views must never create or
-        # bump counters in the parent state.
-        self.eval_counts: Dict[str, int] = {}
-        self.join_stats: Dict[str, int] = {}
-        self.maint_stats: Dict[str, int] = {}
-        self.plan_stats: Dict[str, int] = {}
-        self.columnar_stats: Dict[str, int] = {}
-        # Private overlays over the parent's warm caches: lookups read
-        # through to the parent (atomic gets, identity/generation
-        # validated), inserts and evictions stay local.
-        self.memo: Dict[Tuple[Any, ...], Relation] = {}
-        self.plans: Dict[Tuple[Any, ...], Tuple[Any, Any]] = {}
-        self._indexes: Dict[Tuple[int, int], Tuple[Relation, Any]] = {}
-        self._tries: Dict[Tuple[int, Tuple[int, ...]], Tuple[Relation, Any]] = {}
-        self._atom_indexes: Dict[Tuple[int, Tuple[int, ...]],
-                                 Tuple[Relation, Any]] = {}
-        self._skeletons: Dict[int, Tuple[Any, Any]] = {}
-        self._parent = parent
+        super().__init__(parent)
         self._local = threading.local()
-
-    # -- per-thread demand-evaluation state --------------------------------
 
     @property
     def in_progress(self) -> Dict[Tuple[Any, ...], Relation]:
@@ -105,60 +87,6 @@ class SnapshotState(EvalState):
         if value is None:
             value = store.touch_stack = []
         return value
-
-    # -- read-through cache sharing ----------------------------------------
-
-    def memo_get(self, key: Tuple[Any, ...]) -> Optional[Relation]:
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        # Parent memo keys embed the (name, generation) refs signature, and
-        # ours are computed against the captured generations — a hit is by
-        # construction an extent this snapshot could have computed itself.
-        return self._parent.memo.get(key)
-
-    def plan_lookup(self, key):
-        plan = EvalState.plan_lookup(self, key)
-        if plan is not None:
-            return plan
-        entry = self._parent.plans.get(key)
-        if entry is None:
-            return None
-        plan = entry[1]
-        gens = self.rule_gen
-        for name, gen in plan.sig:
-            if gens.get(name, 0) != gen:
-                # Stale *for this snapshot* (the parent's rules moved on, or
-                # the plan predates our capture) — never touch the parent's
-                # entry, it may be perfectly valid over there.
-                return None
-        return plan
-
-    def index(self, rel: Relation, prefix_len: int):
-        entry = self._parent._indexes.get((id(rel), prefix_len))
-        if entry is not None and entry[0] is rel:
-            return entry[1]
-        return EvalState.index(self, rel, prefix_len)
-
-    def sorted_trie(self, atom, perm: Tuple[int, ...]):
-        source = atom.source
-        entry = self._parent._tries.get((id(source), tuple(perm)))
-        if entry is not None and entry[0] is source:
-            return entry[1]
-        return EvalState.sorted_trie(self, atom, perm)
-
-    def atom_index(self, atom, positions: Tuple[int, ...]):
-        source = atom.source
-        entry = self._parent._atom_indexes.get((id(source), tuple(positions)))
-        if entry is not None and entry[0] is source:
-            return entry[1]
-        return EvalState.atom_index(self, atom, positions)
-
-    def skeleton(self, key_obj, builder):
-        entry = self._parent._skeletons.get(id(key_obj))
-        if entry is not None and entry[0] is key_obj:
-            return entry[1]
-        return EvalState.skeleton(self, key_obj, builder)
 
 
 class SnapshotContext(EvalContext):
@@ -226,7 +154,7 @@ class ProgramFork(_CapturedProgram):
     :class:`ProgramSnapshot` does, but keeps every :class:`RelProgram`
     mutator: :meth:`add_source` and :meth:`apply_updates` rebind the fork's
     own containers, and its :class:`SnapshotState` keeps extents,
-    generations, counters and cache writes in private overlays. So the
+    generations, counters and cache writes in its own dicts. So the
     parent never observes the fork, and dropping the fork is the whole
     rollback. Confined to one thread, and valid only while the parent does
     not move (the session's write lock covers both)."""

@@ -157,13 +157,15 @@ def interner_statistics() -> Dict[str, int]:
 # Per-evaluation plane counters
 # ---------------------------------------------------------------------------
 #
-# The engine installs the active EvalState's ``columnar_stats`` dict here
-# (thread-local, save/restore) around every evaluation entry point, so the
-# Relation layer — which has no evaluation context — can still attribute
-# "columnar-native relation constructed" / "lazy dict materialized" events
-# to the state that caused them. Snapshot reads install the snapshot's own
-# dict, keeping parent counters untouched; events outside any evaluation
-# (user code iterating a returned relation) are deliberately not counted.
+# The engine installs the active EvalState's ``columnar`` counter table
+# here (thread-local, save/restore) around every evaluation entry point.
+# It is the one route for columnar events: the Relation layer, which has
+# no evaluation context ("columnar-native relation constructed" / "lazy
+# dict materialized"), and the engine's kernel wrappers and accumulators
+# all count through it, attributed to the state doing the work. Snapshot
+# reads install the snapshot's own table, keeping parent counters
+# untouched; events outside any evaluation (user code iterating a
+# returned relation) are deliberately not counted.
 
 _plane_sink = threading.local()
 

@@ -458,10 +458,6 @@ class Relation:
             return self
         return Relation._from_keyed(kept)
 
-    def map_tuples(self, fn: Callable[[Tup], Tup]) -> "Relation":
-        """Apply ``fn`` to every tuple (a relational ``map``)."""
-        return Relation([fn(t) for t in self.rows()])
-
     def append_column(self, value: Any) -> "Relation":
         """Append a constant column — e.g. ``(A, 1)`` in `count`'s definition."""
         return self.product(singleton((value,)))
@@ -616,8 +612,3 @@ def relation(*tuples: Sequence[Any]) -> Relation:
 def singleton(tup: Sequence[Any]) -> Relation:
     """The relation containing exactly one tuple."""
     return Relation([tup])
-
-
-def from_bool(value: bool) -> Relation:
-    """Encode a Python Boolean as ``{⟨⟩}`` / ``{}``."""
-    return TRUE if value else FALSE

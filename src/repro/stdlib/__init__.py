@@ -30,10 +30,3 @@ def standard_library_source() -> str:
     for name in _SOURCES:
         parts.append((_REL_DIR / name).read_text())
     return "\n".join(parts)
-
-
-@functools.lru_cache(maxsize=None)
-def library_source(name: str) -> str:
-    """The source of one library file (``stdlib``, ``relalg``, ``linalg``,
-    ``graphlib``)."""
-    return (_REL_DIR / f"{name}.rel").read_text()

@@ -229,3 +229,38 @@ def test_writes_without_constraints_never_fork(monkeypatch):
     session.load("def Ordered(x) : Order(x)")
     assert forks == []
     assert session.relation("Stocked") == Relation([(3,), (4,)])
+
+
+def test_constraints_sharing_a_name_all_hold(opened):
+    """Two ``ic``s declared under one name both hold: the later one does
+    not replace the earlier one's violations."""
+    session, _ = opened
+    session.load("ic bounded(x, q) requires Qty(x, q) implies q < 9")
+    session.load("ic bounded(x, q) requires Qty(x, q) implies q > 0")
+    before = _capture(session)
+    with pytest.raises(ConstraintViolation) as raised:
+        session.insert("Qty", [(3, 50)])
+    assert raised.value.constraint == "bounded"
+    assert raised.value.witnesses == Relation([(3, 50)])
+    _assert_unchanged(session, before)
+    result = session.transact("def insert(:Qty, x, q) : x = 3 and q = 50")
+    assert not result.committed and result.aborted_by == "bounded"
+    assert result.violations["bounded"] == Relation([(3, 50)])
+    _assert_unchanged(session, before)
+
+    server = session.serve()
+    with session._lock:
+        # As above: the writer blocks in ``first``; the three ops below
+        # form one coalesced batch.
+        first = server.define("Other", [(0,)])
+        while not first.running():
+            time.sleep(0.001)
+        futures = [server.insert("Qty", [(3, 1)]),
+                   server.insert("Qty", [(4, 50)]),
+                   server.insert("Qty", [(5, -5)])]
+    assert first.result() is None
+    assert futures[0].result() is None
+    for future in futures[1:]:
+        with pytest.raises(ConstraintViolation):
+            future.result()
+    assert session.relation("Qty") == Relation([(1, 5), (2, 3), (3, 1)])
