@@ -58,12 +58,12 @@ def per_op_session(path):
     return session
 
 
-def bulk_session(path, table_format="log"):
+def bulk_session(path):
     """The fast path: all rows as one committed batch."""
     session = connect(path=path, load_stdlib=False, schema=RULES)
     session.define("E", [])
     session.relation("Deg")
-    session.bulk_load("E", ingest_rows(), table_format=table_format)
+    session.bulk_load("E", ingest_rows())
     return session
 
 
@@ -136,12 +136,11 @@ def test_bulk_agreement(tmp_path):
     extents, and what a reopen recovers."""
     slow = per_op_session(tmp_path / "perop")
     fast = bulk_session(tmp_path / "bulk")
-    sqlite = bulk_session(tmp_path / "sqlite", table_format="sqlite")
-    assert slow.relation("E") == fast.relation("E") == sqlite.relation("E")
+    assert slow.relation("E") == fast.relation("E")
     assert slow.relation("Deg") == fast.relation("Deg")
-    for session in (slow, fast, sqlite):
+    for session in (slow, fast):
         session.close()
-    for d in ("perop", "bulk", "sqlite"):
+    for d in ("perop", "bulk"):
         reopened = connect(path=tmp_path / d, load_stdlib=False)
         assert len(reopened.relation("E")) == N_ROWS
         reopened.close()

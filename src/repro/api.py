@@ -102,6 +102,20 @@ def _as_relation(value: RelationLike) -> Relation:
         ) from exc
 
 
+def coerce_rows(rows: Iterable) -> list:
+    """Normalize a caller's row stream to a list of tuples (a bare scalar
+    row becomes a 1-tuple, matching ``Relation``'s constructor)."""
+    out = []
+    for row in rows:
+        if isinstance(row, tuple):
+            out.append(row)
+        elif isinstance(row, list):
+            out.append(tuple(row))
+        else:
+            out.append((row,))
+    return out
+
+
 class PreparedQuery:
     """A parsed, compiled Rel expression bound to a session.
 
@@ -712,38 +726,21 @@ class Session:
                 self._storage.sync()
         return self
 
-    def bulk_load(self, name: str, rows: Iterable, *,
-                  table_format: str = "log") -> int:
+    def bulk_load(self, name: str, rows: Iterable) -> int:
         """Stream many rows into a base relation as *one* committed batch.
 
         This is the high-throughput ingest path: however many rows arrive,
         the cost is one relation union, one incremental-maintenance pass,
-        one snapshot publish, and (durable sessions) one WAL record —
-        versus one of each *per call* on the :meth:`insert` path.
-
-        ``table_format`` chooses where a durable session puts the rows:
-        ``"log"`` inlines them into the WAL record; ``"sqlite"`` stores
-        them as an immutable batch in ``tables.sqlite`` and logs only the
-        batch id (better for very large loads — recovery scans stay small).
-        Returns the number of rows that were actually new."""
-        if table_format not in ("log", "sqlite"):
-            raise ValueError(
-                f"unknown table_format {table_format!r}; "
-                "expected 'log' or 'sqlite'"
-            )
-        from repro.storage.bulkload import coerce_rows
-
+        one snapshot publish, and (durable sessions) one WAL record that
+        carries the rows inline — versus one of each *per call* on the
+        :meth:`insert` path. Returns the number of rows that were actually
+        new."""
         coerced = coerce_rows(rows)
         with self._lock:
-            if table_format == "sqlite" and self._storage is None:
-                raise ValueError(
-                    "table_format='sqlite' requires a durable session — "
-                    "open one with connect(path=...)"
-                )
             changed = fold({}, "insert", name, Relation(coerced),
                            self.database)
             self._commit(changed, log=lambda _: self._storage.log_bulk(
-                name, coerced, use_store=(table_format == "sqlite")))
+                name, coerced))
             return len(changed[name][0]) if name in changed else 0
 
     def storage_statistics(self) -> Dict[str, int]:

@@ -10,8 +10,8 @@ parameters into an environment and evaluating the rule bodies on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.lang import ast
 from repro.model.relation import Relation
@@ -122,21 +122,6 @@ class Rule:
             assert isinstance(binding, (ast.RelVarBinding, ast.VarBinding))
             names.append(binding.name)
         return tuple(names)
-
-    def head_var_names(self) -> Tuple[str, ...]:
-        """Names introduced by value-level head bindings."""
-        names = []
-        for binding in self.value_head:
-            if isinstance(binding, (ast.VarBinding, ast.InBinding,
-                                    ast.TupleVarBinding)):
-                names.append(binding.name)
-        return tuple(names)
-
-    def has_tuple_var_head(self) -> bool:
-        return any(
-            isinstance(b, (ast.TupleVarBinding, ast.TupleWildcardBinding))
-            for b in self.value_head
-        )
 
 
 def compile_rule(defn: ast.RuleDef) -> Rule:

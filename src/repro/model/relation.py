@@ -324,7 +324,10 @@ class Relation:
             if out is not None:
                 return self if out is pair[0] else Relation.from_columns(out)
         mine = self._keyed()
-        merged = {**mine, **other._keyed()}
+        # copy() clones the hash table even after a point delete has left
+        # a hole in it; ``{**mine}`` would re-insert every row instead.
+        merged = mine.copy()
+        merged.update(other._keyed())
         if len(merged) == len(mine):
             return self
         return Relation._from_keyed(merged)
@@ -358,9 +361,14 @@ class Relation:
             out = _columns.set_difference(*pair)
             if out is not None:
                 return self if out is pair[0] else Relation.from_columns(out)
-        mine = self._keyed()
-        theirs = other._keyed()
-        kept = {k: t for k, t in mine.items() if k not in theirs}
+        mine, theirs = self._keyed(), other._keyed()
+        if len(theirs) < len(mine):
+            # A point delete: copy once, pop the few keys (order kept).
+            kept = mine.copy()
+            for k in theirs:
+                kept.pop(k, None)
+        else:
+            kept = {k: t for k, t in mine.items() if k not in theirs}
         if len(kept) == len(mine):
             return self
         return Relation._from_keyed(kept)
@@ -414,12 +422,6 @@ class Relation:
         """Suffixes of tuples starting with the whole ``prefix``."""
         return Relation._from_rows(self._index().suffixes(tuple(prefix)))
 
-    def drop_first(self) -> "Relation":
-        """``{Expr}[_]``: suffixes after dropping any first element."""
-        return Relation._from_rows(
-            t[1:] for t in self.rows() if len(t) >= 1
-        )
-
     def all_suffixes(self) -> "Relation":
         """``{Expr}[_...]``: all suffixes of all tuples (every split point)."""
         out: Dict[Tup, Tup] = {}
@@ -428,14 +430,6 @@ class Relation:
                 suffix = t[i:]
                 out.setdefault(row_key(suffix), suffix)
         return Relation._from_keyed(out)
-
-    def first_elements(self) -> FrozenSet[Any]:
-        """Distinct first elements of non-empty tuples."""
-        return frozenset(t[0] for t in self.rows() if t)
-
-    def last_elements(self) -> FrozenSet[Any]:
-        """Distinct last elements of non-empty tuples."""
-        return frozenset(t[-1] for t in self.rows() if t)
 
     # ------------------------------------------------------------------
     # Relational-algebra conveniences (used by stdlib and the db layer)
@@ -454,20 +448,6 @@ class Relation:
         """Keep tuples satisfying a Python predicate."""
         mine = self._keyed()
         kept = {k: t for k, t in mine.items() if predicate(t)}
-        if len(kept) == len(mine):
-            return self
-        return Relation._from_keyed(kept)
-
-    def append_column(self, value: Any) -> "Relation":
-        """Append a constant column — e.g. ``(A, 1)`` in `count`'s definition."""
-        return self.product(singleton((value,)))
-
-    def only_arity(self, arity: int) -> "Relation":
-        """Restrict to tuples of exactly ``arity``."""
-        if self._rows is None and self._cols.arity == arity:
-            return self  # native relations are arity-homogeneous
-        mine = self._keyed()
-        kept = {k: t for k, t in mine.items() if len(t) == arity}
         if len(kept) == len(mine):
             return self
         return Relation._from_keyed(kept)

@@ -3,9 +3,8 @@
 Partial application (Section 4.3) is the workhorse operation of Rel:
 ``OrderProductQuantity["O1"]`` returns all suffixes of tuples starting with
 ``"O1"``. A prefix trie answers such lookups in time proportional to the
-result, and doubles as the storage layout required by the leapfrog triejoin
-substrate (``repro.joins.leapfrog``), which walks tries attribute by
-attribute in sorted order.
+result. (The leapfrog triejoin builds its own sorted tries:
+:func:`repro.joins.leapfrog.build_sorted_trie`.)
 
 Children are keyed by :func:`repro.model.values.value_key` — the engine's
 value semantics — so a relation holding both ``True`` and ``1`` in a column
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.model.values import sort_key, value_key
+from repro.model.values import value_key
 
 Tup = Tuple[Any, ...]
 
@@ -39,11 +38,6 @@ class TrieNode:
         self.children: Dict[Any, "TrieNode"] = {}
         self.elem = elem
         self.terminal: bool = False
-
-    def sorted_keys(self) -> List[Any]:
-        """Children elements in the global value order (for leapfrog seeks)."""
-        return sorted((child.elem for child in self.children.values()),
-                      key=sort_key)
 
 
 class RelationTrie:
@@ -159,7 +153,3 @@ class RelationTrie:
     def tuples(self) -> Iterator[Tup]:
         """Iterate all stored tuples."""
         yield from self._walk(self.root, ())
-
-    def first_level(self) -> List[Any]:
-        """Sorted distinct first elements (level-1 keys)."""
-        return self.root.sorted_keys()

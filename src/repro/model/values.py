@@ -15,7 +15,7 @@ relations can be stored sorted and compared deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Tuple
 
 
@@ -97,10 +97,6 @@ class EntityRegistry:
     def lookup(self, namespace: str, key: Any) -> Entity | None:
         """Return the entity for ``key`` in ``namespace`` if minted."""
         return self._entities.get((namespace, key))
-
-    def namespace_of(self, key: Any) -> str | None:
-        """Return the namespace owning ``key``, if any."""
-        return self._by_key.get(key)
 
     def entities(self, namespace: str | None = None) -> Iterator[Entity]:
         """Iterate all minted entities, optionally for one namespace."""

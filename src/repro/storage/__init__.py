@@ -1,21 +1,19 @@
-"""Durable storage: write-ahead log, checkpoints, recovery, bulk loading.
+"""Durable storage: write-ahead log, checkpoints, recovery.
 
 Everything the engine computes is reconstructible from two things — the
 rule *sources* a session has loaded and the contents of its *base*
 relations. This package persists exactly that logical state:
 
 - :mod:`repro.storage.wal` — an append-only, length+CRC-framed write-ahead
-  log. One record per committed batch (the PR-5 write coalescing carries
-  over: a server burst that commits as one ``apply_batch`` is one record);
+  log. One record per committed batch (a server burst that commits as
+  one ``apply_batch`` is one record; a bulk load is one record with its
+  rows inline);
 - :mod:`repro.storage.checkpoint` — atomic snapshot checkpoints of the
   full (sources, base extents) state, written from the copy-on-write
   capture of :meth:`repro.engine.program.RelProgram.durable_state`, after
   which the covered WAL segments are deleted;
 - :mod:`repro.storage.recovery` — crash recovery: load the latest valid
   checkpoint, replay the WAL tail, tolerate torn final records;
-- :mod:`repro.storage.bulkload` — the SQLite-backed side table for
-  high-throughput bulk ingest (rows land in ``tables.sqlite`` batches the
-  WAL references by id instead of inlining);
 - :mod:`repro.storage.manager` — :class:`StorageManager`, the object a
   durable :class:`repro.api.Session` owns: fsync policy, segment rotation,
   background checkpoints, bounded-backoff retry of transient I/O failures

@@ -1,11 +1,11 @@
 """:class:`StorageManager` — the durable session's one storage handle.
 
-Owns the live WAL segment, the background checkpoint thread, the lazy
-SQLite bulk store, and every counter ``Session.storage_statistics()``
-reports. The session calls in under its own write lock, so nothing here
-needs locking against *callers*; the only internal concurrency is the
-checkpoint writer thread, which works exclusively on data captured at
-rotation time (immutable relations + a copied source list).
+Owns the live WAL segment, the background checkpoint thread, and every
+counter ``Session.storage_statistics()`` reports. The session calls in
+under its own write lock, so nothing here needs locking against
+*callers*; the only internal concurrency is the checkpoint writer thread,
+which works exclusively on data captured at rotation time (immutable
+relations + a copied source list).
 
 Checkpoint rotation protocol (caller holds the session lock):
 
@@ -33,7 +33,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple, TypeVar)
 
 from repro.model.relation import Relation
-from repro.storage import bulkload, checkpoint as ckpt, codec, wal
+from repro.storage import checkpoint as ckpt, codec, wal
 from repro.storage.errors import CheckpointError, StorageClosedError
 from repro.storage.recovery import RecoveredState, recover_state
 
@@ -124,7 +124,6 @@ class StorageManager:
         #: as soon as one more record lands (degraded, not dead).
         self._ckpt_retry = False
 
-        self._store: Optional[bulkload.SQLiteStore] = None
         self._closed = False
         self._fork_poisoned = False
         self._close_lock = threading.Lock()
@@ -175,15 +174,10 @@ class StorageManager:
             },
         })
 
-    def log_bulk(self, name: str, rows: List[tuple], *,
-                 use_store: bool = False) -> None:
-        """One record per bulk load; rows inline or via a SQLite batch."""
-        if use_store:
-            batch_id = self.store.append_batch(name, rows)
-            self._append({"op": "bulk", "name": name, "batch": batch_id})
-        else:
-            self._append({"op": "bulk", "name": name,
-                          "rows": [codec.encode_row(r) for r in rows]})
+    def log_bulk(self, name: str, rows: List[tuple]) -> None:
+        """One record per bulk load, its rows inline."""
+        self._append({"op": "bulk", "name": name,
+                      "rows": [codec.encode_row(r) for r in rows]})
         self._stats["bulk_rows"] += len(rows)
 
     def _retrying(self, what: str, fn: Callable[[], _T]) -> _T:
@@ -330,14 +324,6 @@ class StorageManager:
             raise CheckpointError(
                 f"background checkpoint failed: {exc}") from exc
 
-    # -- bulk store --------------------------------------------------------
-
-    @property
-    def store(self) -> bulkload.SQLiteStore:
-        if self._store is None:
-            self._store = bulkload.SQLiteStore.open(self.directory)
-        return self._store
-
     # -- lifecycle ---------------------------------------------------------
 
     def sync(self) -> None:
@@ -361,9 +347,9 @@ class StorageManager:
 
     def close(self) -> None:
         """Idempotent and safe under concurrent callers: exactly one
-        caller tears the manager down; the writer and bulk store are
-        always closed *before* any deferred checkpoint failure is
-        re-raised, so a degraded session still releases its resources."""
+        caller tears the manager down; the writer is always closed
+        *before* any deferred checkpoint failure is re-raised, so a
+        degraded session still releases its resources."""
         if self._fork_poisoned:
             # Forked child: the descriptors belong to the parent; flushing
             # or closing them here would corrupt the parent's WAL.
@@ -381,8 +367,6 @@ class StorageManager:
             self._writer.close()
         except OSError as exc:
             writer_error = exc
-        if self._store is not None:
-            self._store.close()
         self._raise_pending_checkpoint_error()
         if writer_error is not None:
             raise writer_error

@@ -15,11 +15,13 @@ extents) plus enough bookkeeping for two very different callers:
 
 Damage policy: a torn tail on the *final* segment is the expected
 signature of a crash mid-append and is silently dropped (that record never
-committed). A bad frame on any earlier segment — or a bulk record whose
-SQLite batch is missing — means committed data was lost, and recovery
-raises :class:`~repro.storage.errors.WALCorruptionError` rather than
-resurrect a prefix that was never the latest committed state. A corrupt
-checkpoint falls back to the next-older one (longer replay, same state).
+committed). A bad frame on any earlier segment means committed data was
+lost, and recovery raises :class:`~repro.storage.errors.WALCorruptionError`
+rather than resurrect a prefix that was never the latest committed state.
+A corrupt checkpoint falls back to the next-older one (longer replay, same
+state). A bulk record that names a batch instead of carrying its rows was
+written by the retired side-table format; recovery raises
+:class:`~repro.storage.errors.StorageError` for it instead of guessing.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.model.relation import EMPTY, Relation, apply_delta
-from repro.storage import bulkload, checkpoint as ckpt, codec, wal
-from repro.storage.errors import CheckpointError, WALCorruptionError
+from repro.storage import checkpoint as ckpt, codec, wal
+from repro.storage.errors import (CheckpointError, StorageError,
+                                  WALCorruptionError)
 
 
 @dataclass
@@ -89,7 +92,6 @@ def _load_checkpoint(directory: Path) -> tuple:
 
 
 def _apply_record(record: Dict[str, Any], state: RecoveredState,
-                  store: Optional[bulkload.SQLiteStore],
                   segment_name: str) -> None:
     op = record.get("op")
     if op == "load":
@@ -100,17 +102,15 @@ def _apply_record(record: Dict[str, Any], state: RecoveredState,
                                            codec.decode_relation(plus),
                                            codec.decode_relation(minus))
     elif op == "bulk":
+        if "rows" not in record:
+            raise StorageError(
+                f"{segment_name}: bulk record references batch "
+                f"{record.get('batch')!r} in tables.sqlite, a side-table "
+                f"format this version no longer reads"
+            )
         name = record["name"]
-        if "rows" in record:
-            rows = codec.decode_relation(record["rows"])
-        else:
-            if store is None:
-                raise WALCorruptionError(
-                    f"{segment_name}: bulk record references batch "
-                    f"{record['batch']} but tables.sqlite is missing"
-                )
-            rows = store.read_batch(record["batch"])
-        state.base[name] = state.base.get(name, EMPTY).union(rows)
+        state.base[name] = state.base.get(name, EMPTY).union(
+            codec.decode_relation(record["rows"]))
     else:
         raise WALCorruptionError(
             f"{segment_name}: unknown WAL record op {op!r}"
@@ -145,28 +145,20 @@ def recover_state(path: Path) -> RecoveredState:
     replay = [s for s in segments
               if wal.segment_index(s) > state.through_segment]
 
-    store: Optional[bulkload.SQLiteStore] = None
-    try:
-        for pos, segment in enumerate(replay):
-            scan = wal.scan_segment(segment)
-            is_final = pos == len(replay) - 1
-            if scan.torn and not is_final:
-                raise WALCorruptionError(
-                    f"{segment.name}: damaged frame mid-log "
-                    f"({scan.torn_bytes} bad bytes) with later segments "
-                    f"present — refusing to drop committed records"
-                )
-            for record in scan.records:
-                if store is None and record.get("op") == "bulk" \
-                        and "rows" not in record:
-                    store = bulkload.SQLiteStore.open_readonly(directory)
-                _apply_record(record, state, store, segment.name)
-            state.replayed_records += len(scan.records)
-            if is_final:
-                state.torn_bytes = scan.torn_bytes
-                state.tail_segment = wal.segment_index(segment)
-                state.tail_good_bytes = scan.good_bytes
-    finally:
-        if store is not None:
-            store.close()
+    for pos, segment in enumerate(replay):
+        scan = wal.scan_segment(segment)
+        is_final = pos == len(replay) - 1
+        if scan.torn and not is_final:
+            raise WALCorruptionError(
+                f"{segment.name}: damaged frame mid-log "
+                f"({scan.torn_bytes} bad bytes) with later segments "
+                f"present — refusing to drop committed records"
+            )
+        for record in scan.records:
+            _apply_record(record, state, segment.name)
+        state.replayed_records += len(scan.records)
+        if is_final:
+            state.torn_bytes = scan.torn_bytes
+            state.tail_segment = wal.segment_index(segment)
+            state.tail_good_bytes = scan.good_bytes
     return state

@@ -33,10 +33,6 @@ WRITERS = {
                     lambda s: s.apply_batch({"Qty": [(1, 5), (3, 1)]})),
     "bulk_load": (lambda s: s.bulk_load("Qty", [(4, -4), (5, 5)]),
                   "positive", lambda s: s.bulk_load("Qty", [(4, 4)])),
-    "bulk_load_sqlite": (
-        lambda s: s.bulk_load("Qty", [(4, -4)], table_format="sqlite"),
-        "positive",
-        lambda s: s.bulk_load("Qty", [(4, 4)], table_format="sqlite")),
     "load": (lambda s: s.load("ic small(x, q) requires Qty(x, q) implies q < 4"),
              "small",
              lambda s: s.load("ic small(x, q) requires Qty(x, q) implies q < 9")),
@@ -83,11 +79,6 @@ def opened(request, tmp_path):
     session.close()
 
 
-def _skip_unsupported(writer, path):
-    if writer == "bulk_load_sqlite" and path is None:
-        pytest.skip("table_format='sqlite' needs a durable session")
-
-
 def _capture(session):
     state = session.program._state
     return {
@@ -121,7 +112,6 @@ def _assert_unchanged(session, before):
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_violating_write_changes_nothing(opened, writer):
     session, path = opened
-    _skip_unsupported(writer, path)
     violate, constraint, _ = WRITERS[writer]
     before = _capture(session)
     if writer.endswith("transact"):
@@ -146,7 +136,6 @@ def test_violating_write_changes_nothing(opened, writer):
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_satisfying_write_commits(opened, writer):
     session, path = opened
-    _skip_unsupported(writer, path)
     _, _, satisfy = WRITERS[writer]
     before = _capture(session)
     result = satisfy(session)

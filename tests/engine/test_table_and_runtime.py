@@ -113,11 +113,6 @@ class TestCompileRule:
         assert "G" in rule.free
         assert "sum" in rule.free
 
-    def test_head_var_names(self):
-        rule = self.compile("def F({A}, x, y..., z in D) : A(x, y..., z)")
-        assert rule.head_var_names() == ("x", "y", "z")
-        assert rule.has_tuple_var_head()
-
 
 class TestClosures:
     def test_literal_closure_from_abstraction(self):

@@ -87,18 +87,9 @@ class TestApplication:
         opq = relation(("O1", "P1", 2), ("O1", "P2", 1))
         assert opq.suffixes_for_prefix(("O1", "P1")) == relation((2,))
 
-    def test_drop_first(self):
-        r = relation((1, 2), (3, 4))
-        assert r.drop_first() == relation((2,), (4,))
-
     def test_all_suffixes(self):
         r = relation((1, 2))
         assert r.all_suffixes() == Relation([(1, 2), (2,), ()])
-
-    def test_first_and_last_elements(self):
-        r = relation((1, "a"), (2, "b"))
-        assert r.first_elements() == {1, 2}
-        assert r.last_elements() == {"a", "b"}
 
 
 class TestConveniences:
@@ -113,14 +104,6 @@ class TestConveniences:
     def test_select(self):
         r = relation((1,), (2,), (3,))
         assert r.select(lambda t: t[0] > 1) == relation((2,), (3,))
-
-    def test_append_column(self):
-        r = relation((1,), (2,))
-        assert r.append_column(1) == relation((1, 1), (2, 1))
-
-    def test_only_arity(self):
-        r = Relation([(1,), (1, 2)])
-        assert r.only_arity(2) == relation((1, 2))
 
     def test_column(self):
         r = relation((1, "x"), (2, "y"))

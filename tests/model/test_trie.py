@@ -31,10 +31,6 @@ class TestRelationTrie:
         trie = RelationTrie([(1, 2), (1, 2)])
         assert len(trie) == 1
 
-    def test_first_level_sorted(self):
-        trie = RelationTrie([(3, 1), (1, 1), (2, 1)])
-        assert trie.first_level() == [1, 2, 3]
-
     def test_tuples_roundtrip(self):
         tuples = {(1, 2), (1,), (), ("a", "b", "c")}
         trie = RelationTrie(tuples)

@@ -76,6 +76,16 @@ class TestAlgebra:
             Relation([(True,)])
         assert Relation([(1,)]).difference(Relation([(1.0,)])) == Relation()
 
+    def test_difference_by_a_smaller_relation_respects_value_semantics(self):
+        """A point delete pops the smaller side's keys from a copy of the
+        base: ``1.0`` removes a stored ``1``, ``True`` removes nothing."""
+        base = Relation([(3,), (1,), (2,)])
+        got = base.difference(Relation([(1.0,)]))
+        assert list(got.rows()) == [(3,), (2,)]  # row order kept
+        assert base.difference(Relation([(True,)])) is base
+        mixed = Relation([(True,), (1,), (2,)])
+        assert mixed.difference(Relation([(1,)])) == Relation([(True,), (2,)])
+
     def test_intersect_respects_value_semantics(self):
         assert Relation([(True,), (2,)]).intersect(Relation([(1,), (2,)])) \
             == Relation([(2,)])

@@ -62,7 +62,6 @@ class TestEntityRegistry:
         ent = reg.mint("Product", "P1")
         assert reg.lookup("Product", "P1") is ent
         assert reg.lookup("Order", "P1") is None
-        assert reg.namespace_of("P1") == "Product"
 
     def test_enumeration_by_namespace(self):
         reg = EntityRegistry()

@@ -1,49 +1,9 @@
-"""Bulk ingest: one committed batch regardless of row count, both formats."""
+"""Bulk ingest: one committed batch regardless of row count."""
 
 import pytest
 
 from repro import Relation, connect
-from repro.model.relation import EMPTY
-from repro.storage.bulkload import SQLiteStore, coerce_rows
-from repro.storage.errors import StorageError
-
-
-class TestSQLiteStore:
-    def test_batch_roundtrip(self, tmp_path):
-        store = SQLiteStore.open(tmp_path)
-        rows = [(1, "a"), (2, "b"), (True,), (2.5, 1, 0)]
-        batch = store.append_batch("R", rows)
-        assert store.read_batch(batch) == Relation(rows)
-        store.close()
-
-    def test_batches_are_immutable_and_independent(self, tmp_path):
-        store = SQLiteStore.open(tmp_path)
-        first = store.append_batch("R", [(1,)])
-        second = store.append_batch("R", [(2,), (3,)])
-        assert first != second
-        assert store.read_batch(first) == Relation([(1,)])
-        assert store.read_batch(second) == Relation([(2,), (3,)])
-        store.close()
-
-    def test_readonly_handle_sees_committed_batches(self, tmp_path):
-        store = SQLiteStore.open(tmp_path)
-        batch = store.append_batch("R", [(7, 8)])
-        reader = SQLiteStore.open_readonly(tmp_path)
-        assert reader.read_batch(batch) == Relation([(7, 8)])
-        with pytest.raises(StorageError):
-            reader.append_batch("R", [(9,)])
-        reader.close()
-        store.close()
-
-    def test_missing_batch_raises(self, tmp_path):
-        store = SQLiteStore.open(tmp_path)
-        with pytest.raises(StorageError, match="no bulk batch"):
-            store.read_batch(999)
-        store.close()
-
-    def test_missing_database_raises(self, tmp_path):
-        with pytest.raises(StorageError, match="tables.sqlite"):
-            SQLiteStore.open_readonly(tmp_path)
+from repro.api import coerce_rows
 
 
 class TestCoerceRows:
@@ -81,36 +41,14 @@ class TestSessionBulkLoad:
         assert session.bulk_load("E", [(2,), (3,)]) == 1
         assert session.bulk_load("E", [(1,)]) == 0
 
-    def test_sqlite_format_survives_reopen(self, tmp_path):
+    def test_bulk_load_survives_reopen(self, tmp_path):
         rows = [(i, str(i)) for i in range(250)]
         session = connect(path=tmp_path / "db", load_stdlib=False)
-        session.bulk_load("Big", rows, table_format="sqlite")
+        session.bulk_load("Big", rows)
         session.close()
         reopened = connect(path=tmp_path / "db", load_stdlib=False)
         assert reopened.relation("Big") == Relation(rows)
-        assert (tmp_path / "db" / "tables.sqlite").exists()
         reopened.close()
-
-    def test_sqlite_format_keeps_wal_records_small(self, tmp_path):
-        rows = [(i, i + 1) for i in range(400)]
-        inline = connect(path=tmp_path / "inline", load_stdlib=False)
-        inline.bulk_load("R", rows, table_format="log")
-        via_store = connect(path=tmp_path / "store", load_stdlib=False)
-        via_store.bulk_load("R", rows, table_format="sqlite")
-        assert via_store.storage_statistics()["wal_bytes"] \
-            < inline.storage_statistics()["wal_bytes"] / 10
-        inline.close()
-        via_store.close()
-
-    def test_sqlite_format_requires_durable_session(self):
-        session = connect(load_stdlib=False)
-        with pytest.raises(ValueError, match="durable session"):
-            session.bulk_load("E", [(1,)], table_format="sqlite")
-
-    def test_unknown_table_format_rejected(self):
-        session = connect(load_stdlib=False)
-        with pytest.raises(ValueError, match="table_format"):
-            session.bulk_load("E", [(1,)], table_format="csv")
 
     def test_bulk_load_respects_gnf_without_logging(self, tmp_path):
         session = connect(path=tmp_path / "db", load_stdlib=False,

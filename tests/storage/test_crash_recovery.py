@@ -70,8 +70,8 @@ def _run_script(seed, directory):
         elif kind == "delete":
             session.delete(name, tuples)
         else:
-            fmt = "sqlite" if rng.random() < 0.5 else "log"
-            session.bulk_load(name, tuples, table_format=fmt)
+            rng.random()  # kept so every seeded script stays the same
+            session.bulk_load(name, tuples)
         # Only state-changing ops append a record; a no-op leaves the
         # record count (and therefore the truncation map) untouched.
         if changed:
