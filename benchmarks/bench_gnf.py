@@ -15,8 +15,7 @@ columns*.
 
 import pytest
 
-from repro import Relation
-from repro.db import Database
+from repro import Relation, connect
 from repro.db.gnf import wide_row_to_gnf
 
 N_ENTITIES = 400
@@ -48,16 +47,16 @@ def build_gnf():
     gnf_rows = [tuple(None if v == NULL else v for v in row)
                 for row in WIDE_ROWS]
     relations = wide_row_to_gnf(0, ["id"] + ATTRIBUTES, gnf_rows, "T")
-    return Database(relations)
+    return connect(relations, load_stdlib=False)
 
 
 def build_wide():
-    return Database({"T": Relation(WIDE_ROWS)})
+    return connect({"T": Relation(WIDE_ROWS)}, load_stdlib=False)
 
 
 def update_gnf(db):
     """Set attribute 'a' of 50 entities: one binary relation is touched."""
-    target = db["Ta"]
+    target = db.database["Ta"]
     for i in range(50):
         key = f"E{i}"
         old = [t for t in target if t[0] == key]
@@ -68,13 +67,13 @@ def update_gnf(db):
 
 def update_wide(db):
     """The same update against the wide table: whole rows are rewritten."""
-    table = db["T"]
+    table = db.database["T"]
     for i in range(50):
         key = f"E{i}"
         old_rows = [t for t in table if t[0] == key]
         db.delete("T", old_rows)
         db.insert("T", [(key, -1) + t[2:] for t in old_rows])
-        table = db["T"]
+        table = db.database["T"]
     return db
 
 
@@ -100,7 +99,7 @@ def test_shape_gnf_stores_only_facts():
     """Null cells vanish: GNF fact count ≈ present values, the wide table
     stores every cell (as None placeholders)."""
     gnf = build_gnf()
-    facts = sum(len(rel) for _, rel in gnf.items())
+    facts = sum(len(rel) for rel in gnf.database.values())
     wide_cells = N_ENTITIES * len(ATTRIBUTES)
     present = sum(
         1 for row in WIDE_ROWS for v in row[1:] if v != NULL

@@ -7,8 +7,7 @@ transaction on the running example.
 
 import pytest
 
-from repro import RelProgram
-from repro.db import Database, Transaction
+from repro import RelProgram, connect
 from repro.workloads import order_database
 
 SECTION3_RULES = """
@@ -47,8 +46,7 @@ def run_section3():
 
 
 def run_transaction():
-    database = Database(order_database())
-    return Transaction(database).execute("""
+    return connect(order_database()).transact("""
         def Ord(x) : OrderProductQuantity(x, _, _)
         def OPA(x, y, z) : PaymentOrder(y, x) and PaymentAmount(y, z)
         def OrderPaid[x in Ord] : sum[OPA[x]]

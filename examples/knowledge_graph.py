@@ -94,7 +94,7 @@ def main() -> None:
         print(f"  {name}: {count} facts")
 
     print("\n== GNF in action: no nulls, unique identifiers ==")
-    crane = kg.database.entities.lookup("Supplier", "crane")
+    crane = kg.entities.lookup("Supplier", "crane")
     print(f"  crane's rating: {kg.attribute('Supplier', crane, 'rating')}")
     try:
         kg.add_entity("Part", "crane", name="Crane-shaped part")

@@ -73,7 +73,6 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n== Section 3.4: a transaction that closes fully-paid orders ==")
     txn_session = connect(order_database())
-    database = txn_session.database
     result = txn_session.transact("""
         def Ord(x) : OrderProductQuantity(x, _, _)
         def OrderPaymentAmount(x, y, z) :
@@ -95,6 +94,7 @@ def main() -> None:
     """)
     show("output (order, paid, total)", result.output)
     print(f"  committed: {result.committed}")
+    database = txn_session.database  # read after the commit
     show("ClosedOrders (new base relation)", database["ClosedOrders"])
     show("OrderProductQuantity after delete",
          database["OrderProductQuantity"])

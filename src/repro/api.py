@@ -3,9 +3,10 @@
 The paper presents Rel as one coherent stack — the language, a GNF
 database with transactional semantics, and libraries layered on top.  A
 :class:`Session` is the corresponding programmatic object: it owns one
-:class:`~repro.db.Database`, one rule catalog, and one long-lived
-evaluation state, and it is the unit that can be pooled, snapshotted, and
-served from.
+program — its base relations (the one store of base data, read through
+:attr:`Session.database`), its rule catalog and its long-lived evaluation
+state — and it is the unit that can be pooled, snapshotted, and served
+from.
 
 Separation of *definition* from *execution* is the core design:
 
@@ -45,14 +46,14 @@ Quickstart::
 from __future__ import annotations
 
 import threading
+import types
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple, Union)
 
-from repro.db.database import Database
-from repro.db.gnf import check_gnf_changes
+from repro.db.gnf import check_gnf, check_gnf_changes
 from repro.db.transaction import (Changes, Transaction, TransactionResult,
-                                  apply_changes, check_constraints, fold)
+                                  check_constraints, fold)
 from repro.engine import budget as _budget
 from repro.engine.budget import EvalBudget
 from repro.engine.errors import ConstraintViolation
@@ -301,15 +302,16 @@ class Snapshot:
 
 
 class Session:
-    """One database + one rule catalog + one long-lived evaluation state.
+    """One program — base relations, rule catalog and long-lived
+    evaluation state — behind one write lock and one commit step.
 
     >>> session = Session()
-    >>> session.define("E", [(1, 2), (2, 3)])
+    >>> _ = session.define("E", [(1, 2), (2, 3)])
     >>> sorted(session.execute("TC[E]").tuples)
     [(1, 2), (1, 3), (2, 3)]
     """
 
-    def __init__(self, database: Optional[Union[Database, Mapping[str, Relation]]] = None,
+    def __init__(self, database: Optional[Mapping[str, RelationLike]] = None,
                  schema: Optional[str] = None, *,
                  source: Optional[str] = None,
                  load_stdlib: bool = True,
@@ -322,12 +324,18 @@ class Session:
                  path: Optional[Union[str, Path]] = None,
                  fsync: str = "batch",
                  checkpoint_every: Optional[int] = 256) -> None:
+        if database is not None and path is not None:
+            raise ValueError(
+                "pass a mapping or a path, not both: rows in the mapping "
+                "would be served but never logged; open the path and use "
+                "define() or bulk_load() to make them durable")
         # Concurrency model: one re-entrant lock serializes every state
         # mutation (and direct session reads, which share the live
         # evaluation state); concurrent readers go through snapshot(),
         # which is lock-free once a snapshot has been published. The lock
         # is created first so __init__'s own load() calls go through it.
         self._lock = threading.RLock()
+        self.enforce_gnf = enforce_gnf
         self._version = 0
         self._published: Optional[Snapshot] = None
         self._eager_publish = False
@@ -345,7 +353,7 @@ class Session:
         # connect(path=..., schema=...) idempotent across reopens.
         self._sources: List[str] = []
         self._storage = None
-        recovered = None
+        sources: List[str] = []
         if path is not None:
             from repro.storage import StorageManager
 
@@ -355,35 +363,40 @@ class Session:
             # lost committed writes.
             self._storage = StorageManager(path, fsync=fsync,
                                            checkpoint_every=checkpoint_every)
-            recovered = self._storage.recovered
-        if isinstance(database, Database):
-            self.database = database
-        else:
-            self.database = Database(database or {}, enforce_gnf=enforce_gnf)
-        if recovered is not None:
-            # Install the recovered base *before* the program exists: a
-            # bulk install at construction time costs nothing, while
-            # define() per name on a live program would pay one dependency
-            # invalidation each.
-            for name, rel in recovered.base.items():
-                self.database.install(name, rel)
+            database = self._storage.recovered.base
+            sources = self._storage.recovered.sources
+        # The initial or recovered base goes in at construction time: a
+        # bulk install then costs nothing, while define() per name on a
+        # live program would pay one dependency invalidation each.
         self.program = RelProgram(
-            database=self.database.as_mapping(),
+            database=database,
             load_stdlib=load_stdlib,
             options=options,
         )
-        if recovered is not None:
-            # Replay recovered sources directly: they are already durable
-            # (in the checkpoint or the WAL), so no logging and no version
-            # bumps — a reopened session starts at version 0 like a fresh
-            # one, with its committed state as the baseline.
-            for src in recovered.sources:
-                self.program.add_source(src)
-                self._sources.append(src)
+        if enforce_gnf:
+            for name, rel in self.program.durable_state().items():
+                check_gnf(name, rel)
+        # Replay recovered sources directly: they are already durable (in
+        # the checkpoint or the WAL), so no logging and no version bumps —
+        # a reopened session starts at version 0 like a fresh one, with
+        # its committed state as the baseline.
+        for src in sources:
+            self.program.add_source(src)
+            self._sources.append(src)
         if schema:
             self.load(schema)
         if source:
             self.load(source)
+
+    @property
+    def database(self) -> Mapping[str, Relation]:
+        """The base relations as a read-only mapping, name → relation.
+
+        A frozen capture of the program's base, the one store of base data:
+        every write rebinds the base rather than mutating it, so a mapping
+        read here never changes and is safe to iterate without the lock;
+        read again to see later writes."""
+        return types.MappingProxyType(self.program.durable_state())
 
     # -- definition --------------------------------------------------------
 
@@ -421,18 +434,14 @@ class Session:
         propagation through the stratified fixpoint) when the delta size
         and the occurrence analysis allow it. An empty or
         fully-duplicate delta is a true no-op: nothing is re-evaluated."""
-        with self._lock:
-            self._commit(fold({}, "insert", name, _as_relation(tuples),
-                              self.database))
+        self._write_rows([("insert", name, _as_relation(tuples))])
         return self
 
     def delete(self, name: str, tuples: RelationLike) -> "Session":
         """Delete tuples from a base relation (DRed delete-rederive on
         dependent materialized extents where eligible). Deleting from a
         missing relation, or a delta that hits nothing, is a true no-op."""
-        with self._lock:
-            self._commit(fold({}, "delete", name, _as_relation(tuples),
-                              self.database))
+        self._write_rows([("delete", name, _as_relation(tuples))])
         return self
 
     def apply_batch(self, updates: Mapping[str, RelationLike]) -> Changes:
@@ -447,11 +456,21 @@ class Session:
         converted = {name: _as_relation(value)
                      for name, value in updates.items()}
         with self._lock:
-            changed = replacements(converted, self.database)
+            changed = replacements(converted, self.program.durable_state())
             self._commit(changed)
             return changed
 
     # -- the commit step ---------------------------------------------------
+
+    def _write_rows(self, ops: Iterable[Tuple[str, str, Relation]]) -> None:
+        """Commit ``(kind, name, rows)`` inserts and deletes as one write:
+        folded in order into one net delta against the base."""
+        with self._lock:
+            changed: Changes = {}
+            base = self.program.durable_state()
+            for kind, name, rows in ops:
+                fold(changed, kind, name, rows, base)
+            self._commit(changed)
 
     def _commit(self, changed: Changes,
                 log: Optional[Callable[[Changes], None]] = None,
@@ -466,14 +485,14 @@ class Session:
         constraints on a fork with it applied (only when some ``ic``
         exists, and not when a transaction already has); log it (``log``,
         by default as one batch record); apply it to the program in one
-        maintenance pass and to the database; publish, then maybe
-        checkpoint. A write refused before the WAL append leaves no trace,
-        as an aborted transaction does (Section 3.5)."""
+        maintenance pass; publish, then maybe checkpoint. A write refused
+        before the WAL append leaves no trace, as an aborted transaction
+        does (Section 3.5)."""
         self._check_storage()
         if not changed and parsed is None:
             return
-        if self.database.enforce_gnf:
-            check_gnf_changes(changed, self.database)
+        if self.enforce_gnf:
+            check_gnf_changes(changed, self.program.durable_state())
         if check:
             self._check_constraints(changed, parsed)
         if self._storage is not None:
@@ -482,7 +501,7 @@ class Session:
             if parsed is not None:
                 self.program._ingest(parsed)
             if changed:
-                apply_changes(self.program, self.database, changed)
+                self.program.apply_updates(changed)
         self._mutated()
         self._maybe_checkpoint()
 
@@ -738,7 +757,7 @@ class Session:
         coerced = coerce_rows(rows)
         with self._lock:
             changed = fold({}, "insert", name, Relation(coerced),
-                           self.database)
+                           self.program.durable_state())
             self._commit(changed, log=lambda _: self._storage.log_bulk(
                 name, coerced))
             return len(changed[name][0]) if name in changed else 0
@@ -769,8 +788,8 @@ class Session:
         again."""
         with self._lock:
             return Transaction(
-                self.database, program=self.program,
-                commit=lambda changed: self._commit(changed, check=False),
+                self.program,
+                lambda changed: self._commit(changed, check=False),
             ).execute(source)
 
     # -- introspection -----------------------------------------------------
@@ -778,7 +797,7 @@ class Session:
     def names(self) -> Tuple[str, ...]:
         """All defined names: base relations and rule-defined relations."""
         return tuple(sorted(set(self.program.closures)
-                            | set(self.database.names())))
+                            | set(self.program.durable_state())))
 
     def evaluation_counts(self) -> Dict[str, int]:
         """Per-relation rule-evaluation counters (incremental-reuse hook):
@@ -830,7 +849,7 @@ class Session:
         with self._lock:
             stats: Dict[str, Dict[str, int]] = {
                 name: _relation_statistics(name, rel)
-                for name, rel in self.database.items()}
+                for name, rel in self.program.durable_state().items()}
         stats["interner"] = _columns.interner_statistics()
         return stats
 
@@ -839,20 +858,19 @@ class Session:
                 f"{len(self.program.closures)} defined names)")
 
 
-def connect(database: Optional[Union[Database, Mapping[str, Relation]]] = None,
+def connect(database: Optional[Mapping[str, RelationLike]] = None,
             schema: Optional[str] = None, **kwargs: Any) -> Session:
     """Open a :class:`Session` — the front door of the system.
 
-    ``database`` is an existing :class:`~repro.db.Database`, or a mapping
-    of name → :class:`~repro.model.Relation` to start from (copied on
-    ingest — later mutation of the caller's mapping never leaks into the
-    session); ``schema`` is Rel source (rules and integrity constraints)
-    loaded at connect time. ``threads=N`` sizes the session's
-    :attr:`Session.server` thread pool for concurrent serving (see
-    :mod:`repro.server`); ``queue_limit=N`` bounds its write queue and
-    ``admission`` picks the backpressure policy when the queue is full
-    (``"block"`` / ``"reject"`` / ``"timeout"`` with
-    ``admission_timeout`` seconds). Per-query resource governance comes
+    ``database`` is a mapping of name → :class:`~repro.model.Relation` (or
+    iterable of tuples) to start from (copied on ingest — later mutation of
+    the caller's mapping never leaks into the session); ``schema`` is Rel
+    source (rules and integrity constraints) loaded at connect time.
+    ``threads=N`` sizes the session's :attr:`Session.server` thread pool
+    for concurrent serving (see :mod:`repro.server`); ``queue_limit=N``
+    bounds its write queue and ``admission`` picks the backpressure policy
+    when the queue is full (``"block"`` / ``"reject"`` / ``"timeout"``
+    with ``admission_timeout`` seconds). Per-query resource governance comes
     from :meth:`Session.execute`'s ``deadline=``/``budget=`` and
     :meth:`~repro.server.QueryServer.submit`'s matching knobs
     (:class:`repro.EvalBudget`).
@@ -866,7 +884,9 @@ def connect(database: Optional[Union[Database, Mapping[str, Relation]]] = None,
     (``"always"`` / ``"batch"`` / ``"never"``, see
     :class:`repro.storage.wal.WALWriter`) and ``checkpoint_every=N``
     checkpoints after every N log records (``None`` = only explicit
-    :meth:`Session.checkpoint` calls). On a durable session, ``schema=``
+    :meth:`Session.checkpoint` calls). A durable session starts from what
+    the directory holds, so ``path`` does not combine with a ``database``
+    mapping (``ValueError``). On a durable session, ``schema=``
     is idempotent across reopens and :meth:`Session.bulk_load` offers the
     high-throughput ingest path. Remaining keyword arguments are forwarded
     to :class:`Session`."""

@@ -1,12 +1,12 @@
-"""Database layer: persistent base relations, transactions, and GNF.
+"""Database layer: transactions, integrity constraints, and GNF.
 
-Implements Sections 2 and 3.4–3.5 of the paper:
+Implements Sections 2 and 3.4–3.5 of the paper. The base relations live in
+one store, the program's base (:attr:`repro.Session.database` is its
+read-only view); this package holds what is checked and run against it:
 
-- :class:`Database` — named base relations in graph normal form, with the
-  unique-identifier property enforced through an entity registry;
-- :class:`Transaction` — the execution of a query against a database, with
-  the control relations ``output``, ``insert``, and ``delete``; changes
-  persist unless the transaction aborts;
+- :class:`Transaction` — the execution of a query against the live
+  program, with the control relations ``output``, ``insert``, and
+  ``delete``; changes persist unless the transaction aborts;
 - integrity constraints (``ic … requires``), checked at every commit; a
   violation aborts the write: a transaction returns ``committed=False``,
   every other session write raises
@@ -15,7 +15,6 @@ Implements Sections 2 and 3.4–3.5 of the paper:
   and the unique-identifier property) and ER→GNF schema derivation.
 """
 
-from repro.db.database import Database
 from repro.db.transaction import Transaction, TransactionResult
 from repro.db.gnf import (
     GNFViolation,
@@ -33,7 +32,6 @@ from repro.db.schema import (
 
 __all__ = [
     "Attribute",
-    "Database",
     "EntityType",
     "ERModel",
     "GNFViolation",

@@ -12,19 +12,15 @@ Section 3.5).
 "if ClosedOrders does not exist, it will be created on the spot".
 
 Evaluation: a transaction runs on a :meth:`~RelProgram.fork` of the live
-program over the database — the session's own program, or one built on the
-database for a standalone :class:`Transaction`. The fork shares the warm
-extents, plans and indexes read-only; only the transaction source is
-parsed, and only what it adds or changes is evaluated. Constraints are
-checked on the same fork after the net changes are applied to it. Abort is
-dropping the fork: the live program, its caches and its counters were never
-touched. Commit hands the checked net changes to a ``commit`` callback —
-the session's commit step, which logs, installs and maintains them like
-every other session write — or, for a standalone transaction, applies them
-to the live program in one maintenance pass and installs the result into
-the database. Either way they travel as one net delta (:data:`Changes`).
+program. The fork shares the warm extents, plans and indexes read-only;
+only the transaction source is parsed, and only what it adds or changes is
+evaluated. Constraints are checked on the same fork after the net changes
+are applied to it. Abort is dropping the fork: the live program, its caches
+and its counters were never touched. Commit hands the checked net changes,
+one net delta (:data:`Changes`), to a ``commit`` callback — in a session,
+the commit step, which logs and maintains them like every other write.
 
-Concurrency: the fork is thread-confined and the database changes only at
+Concurrency: the fork is thread-confined and the base changes only at
 commit. The session layer runs the whole execute-check-commit sequence
 under its write lock and publishes the post-state as one snapshot, so
 concurrent snapshot readers see a committed transaction's effects all at
@@ -34,19 +30,16 @@ once or not at all (atomicity, Section 3.4/3.5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.db.database import Database
-from repro.db.gnf import check_gnf_changes
-from repro.engine import budget as _budget
 from repro.engine import builtins as bi
 from repro.engine.errors import EvaluationError
 from repro.engine.expand import eval_rule
-from repro.engine.program import EngineOptions, RelProgram, _plane_stats
+from repro.engine.program import RelProgram, _plane_stats
 from repro.engine.runtime import Env, compile_rule
 from repro.lang import ast
 from repro.lang.nnf import negate
-from repro.model.relation import EMPTY, Changes, Relation, replacements
+from repro.model.relation import EMPTY, Changes, Relation
 from repro.model.values import Symbol
 
 #: The reserved control relation names of Section 3.4.
@@ -54,12 +47,12 @@ CONTROL_RELATIONS = frozenset({"output", "insert", "delete"})
 
 
 def fold(changes: Changes, kind: str, name: str, rows: Relation,
-         database: Database) -> Changes:
+         base_relations: Mapping[str, Relation]) -> Changes:
     """Fold an ``"insert"`` or ``"delete"`` of ``rows`` into ``changes``,
-    the pending delta of a write to ``database``, and return it: the one
-    no-op rule of every insert and delete. Each row is probed against the
-    base, so the cost is the write's size, not the base's."""
-    base = database.get(name, None)
+    the pending delta of a write to ``base_relations``, and return it: the
+    one no-op rule of every insert and delete. Each row is probed against
+    the base, so the cost is the write's size, not the base's."""
+    base = base_relations.get(name, None)
     if base is None and name not in changes:
         if kind == "insert":
             changes[name] = (rows, EMPTY)
@@ -96,45 +89,34 @@ class TransactionResult:
 
 
 class Transaction:
-    """One query execution against a database.
+    """One query execution against a live program.
 
-    >>> db = Database({"P": Relation([(1,), (2,)])})
-    >>> txn = Transaction(db)
+    >>> program = RelProgram(database={"P": [(1,), (2,)]})
+    >>> txn = Transaction(program, commit=program.apply_updates)
     >>> result = txn.execute("def output(x) : P(x) and x > 1")
     >>> sorted(result.output.tuples)
     [(2,)]
     """
 
-    def __init__(self, database: Database,
-                 options: Optional[EngineOptions] = None,
-                 load_stdlib: bool = True,
-                 program: Optional[RelProgram] = None,
-                 commit: Optional[Callable[[Changes], None]] = None) -> None:
-        self.database = database
-        self.options = options
-        self.load_stdlib = load_stdlib
-        #: The live program over ``database`` whose rules, constraints and
-        #: warm state are in scope (the session layer passes its own);
-        #: ``None`` builds one on ``database`` per execution.
+    def __init__(self, program: RelProgram,
+                 commit: Callable[[Changes], None]) -> None:
+        #: The live program whose base, rules, constraints and warm state
+        #: are in scope (the session passes its own).
         self.program = program
-        #: Takes the checked net changes (possibly none) in place of the
-        #: install-and-maintain below: the session passes its commit step.
+        #: Takes the checked net changes (possibly none): the session
+        #: passes its commit step.
         self.commit = commit
 
     def execute(self, source: str) -> TransactionResult:
         """Run a Rel program; commit its effects unless a constraint fails.
 
-        The program's rules are evaluated against the current database
-        state; ``insert``/``delete`` requests are folded into the net delta
+        The program's rules are evaluated against the current base;
+        ``insert``/``delete`` requests are folded into the net delta
         (deletes first), constraints are checked on the *post-state*, and
-        only then is the database mutated.
+        only then is the delta handed to ``commit``.
         """
-        program = self.program
-        if program is None:
-            program = RelProgram(database=self.database.as_mapping(),
-                                 load_stdlib=self.load_stdlib,
-                                 options=self.options)
-        fork = program.fork()
+        base = self.program.durable_state()
+        fork = self.program.fork()
         fork.add_source(source)
         output, inserted, deleted = (
             fork.relation(name) if name in fork.closures else EMPTY
@@ -145,7 +127,7 @@ class Transaction:
         changed: Changes = {}
         for kind, requests in (("delete", deleted), ("insert", inserted)):
             for name, rows in requests.items():
-                fold(changed, kind, name, rows, self.database)
+                fold(changed, kind, name, rows, base)
 
         # Check integrity constraints against the post-state (Section 3.5:
         # "If a transaction violates a constraint, it is aborted").
@@ -164,14 +146,7 @@ class Transaction:
                 aborted_by=sorted(failed)[0],
             )
 
-        # Commit: the caller's commit step, or our own.
-        if self.commit is not None:
-            self.commit(changed)
-        elif changed:
-            if self.database.enforce_gnf:
-                check_gnf_changes(changed, self.database)
-            with _budget.scoped(None):
-                apply_changes(program, self.database, changed)
+        self.commit(changed)
         return TransactionResult(
             committed=True,
             output=output,
@@ -179,18 +154,6 @@ class Transaction:
             deleted=deleted,
             changed=changed,
         )
-
-
-def apply_changes(program: RelProgram, database: Database,
-                  changes: Changes) -> None:
-    """Apply ``changes`` to ``program`` in one maintenance pass, then copy
-    the new base values it computed into ``database`` (also when
-    maintenance fails: the two never disagree)."""
-    try:
-        program.apply_updates(changes)
-    finally:
-        database.update({name: program.base_relation(name)
-                         for name in changes})
 
 
 def _split_by_target(requests: Relation) -> Dict[str, Relation]:
@@ -205,10 +168,8 @@ def _split_by_target(requests: Relation) -> Dict[str, Relation]:
     return {name: Relation(tuples) for name, tuples in grouped.items()}
 
 
-def check_constraints(program: RelProgram,
-                      database: Optional[Database] = None
-                      ) -> Dict[str, Relation]:
-    """Evaluate every ``ic`` of ``program`` against a database state.
+def check_constraints(program: RelProgram) -> Dict[str, Relation]:
+    """Evaluate every ``ic`` of ``program`` against its base.
 
     Returns, per constraint name, the relation of violations — the union
     over every ``ic`` declared with that name: for parameterless
@@ -218,11 +179,9 @@ def check_constraints(program: RelProgram,
     that violate the constraint").
 
     The constraints run on ``program``'s own evaluation state (a fork a
-    write's delta was applied to) unless ``database`` differs from its
-    base; then on a fork brought to ``database`` by one
-    :meth:`~RelProgram.apply_updates`, leaving ``program`` unchanged.
-    Relations need no declaration (Section 3.4): a name the constraints
-    reach that nothing defines is an empty base relation on that fork.
+    write's delta was applied to). Relations need no declaration (Section
+    3.4): a name the constraints reach that nothing defines is an empty
+    base relation, installed on a fork so ``program`` is left unchanged.
     """
     # The violation relation of each constraint is the *negation* of the
     # requirement, pushed to negation normal form so the positive guard of
@@ -236,17 +195,17 @@ def check_constraints(program: RelProgram,
     ))) for ic in program.constraints]
     if rules:
         base = program.durable_state()
-        stale = replacements(database or {}, base)
+        missing: Changes = {}
         for _, rule in rules:
             for name in rule.free:
                 for ref in program._refs_of(name):
-                    if ref not in stale and ref not in base \
+                    if ref not in missing and ref not in base \
                             and ref not in program.closures \
                             and bi.lookup(ref) is None:
-                        stale[ref] = (EMPTY, EMPTY)
-        if stale:
+                        missing[ref] = (EMPTY, EMPTY)
+        if missing:
             program = program.fork()
-            program.apply_updates(stale)
+            program.apply_updates(missing)
     results: Dict[str, Relation] = {}
     ctx = program._context()
     with _plane_stats(ctx.state):
@@ -261,8 +220,3 @@ def check_constraints(program: RelProgram,
                 Relation(facts))
     return results
 
-
-def run_transaction(database: Database, source: str,
-                    **kwargs) -> TransactionResult:
-    """Convenience one-shot transaction."""
-    return Transaction(database, **kwargs).execute(source)

@@ -786,7 +786,12 @@ class RelProgram:
                  load_stdlib: bool = True,
                  options: Optional[EngineOptions] = None) -> None:
         self.options = options or EngineOptions()
-        self._base: Dict[str, Relation] = dict(database or {})
+        # The one ingest point of base data: a caller's list or generator
+        # is materialized here, so no later change on their side reaches
+        # the immutable values snapshots and checkpoints capture.
+        self._base: Dict[str, Relation] = {
+            name: rel if isinstance(rel, Relation) else Relation(rel)
+            for name, rel in (database or {}).items()}
         self._rules: Dict[str, List[Rule]] = {}
         self._constraints: List[ast.ICDef] = []
         self.closures: Dict[str, Closure] = {}

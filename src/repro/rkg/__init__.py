@@ -5,8 +5,9 @@ An RKG combines (1) the relational data model, (2) graph normal form, and
 This package provides:
 
 - :class:`KnowledgeGraph` — concepts (entity types), attributes, and
-  relationships stored in GNF over a :class:`repro.db.Database`, with the
-  unique-identifier property enforced via the entity registry;
+  relationships stored in GNF as a :class:`repro.Session`'s base relations,
+  with the unique-identifier property enforced via the graph's entity
+  registry;
 - derived concepts and relationships *defined in Rel*, evaluated by the
   engine (the "semantic layer" of Section 6);
 - a rule-based reasoner API: ask/derive/explain over the graph.

@@ -15,14 +15,13 @@ layer); queries are Rel expressions evaluated over base + derived relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api import Session
-from repro.db.database import Database
 from repro.engine.program import EngineOptions, RelProgram
 from repro.model.relation import EMPTY, Relation
-from repro.model.values import Entity
+from repro.model.values import Entity, EntityRegistry
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,17 @@ class KnowledgeGraph:
 
     def __init__(self, options: Optional[EngineOptions] = None) -> None:
         self.session = Session(options=options)
-        self.database = self.session.database
+        #: Mints entities: the unique-identifier property of Section 2.
+        self.entities = EntityRegistry()
         self.concepts: Dict[str, Concept] = {}
         self.relationships: Dict[str, Relationship] = {}
         self._derivations: List[str] = []
         self.options = options
+
+    @property
+    def database(self) -> Mapping[str, Relation]:
+        """The stored relations: the session's read-only base mapping."""
+        return self.session.database
 
     # -- schema ------------------------------------------------------------
 
@@ -96,11 +101,13 @@ class KnowledgeGraph:
         unknown = set(attributes) - set(spec.attributes)
         if unknown:
             raise ValueError(f"unknown attributes {sorted(unknown)}")
-        entity = self.database.entities.mint(concept, key)
-        self.session.insert(concept, [(entity,)])
-        for attr, value in attributes.items():
-            self.session.insert(spec.attribute_relation(attr),
-                                [(entity, value)])
+        entity = self.entities.mint(concept, key)
+        # One write: an ``ic`` may tie membership to an attribute.
+        self.session._write_rows(
+            [("insert", concept, Relation([(entity,)]))] + [
+                ("insert", spec.attribute_relation(attr),
+                 Relation([(entity, value)]))
+                for attr, value in attributes.items()])
         return entity
 
     def set_attribute(self, concept: str, entity: Entity, attribute: str,
@@ -108,9 +115,11 @@ class KnowledgeGraph:
         """Set (replace) a functional attribute fact."""
         spec = self.concepts[concept]
         name = spec.attribute_relation(attribute)
-        old = [(t[0], t[1]) for t in self.database[name] if t[0] == entity]
-        self.session.delete(name, old)
-        self.session.insert(name, [(entity, value)])
+        old = [t for t in self.database.get(name, EMPTY) if t[0] == entity]
+        # One write: no version shows the entity without a value.
+        self.session._write_rows([
+            ("delete", name, Relation(old)),
+            ("insert", name, Relation([(entity, value)]))])
 
     def relate(self, relationship: str, *entities: Entity,
                value: Any = None) -> None:
@@ -161,7 +170,7 @@ class KnowledgeGraph:
 
     def entities_of(self, concept: str) -> List[Entity]:
         """All entities of a concept."""
-        return [t[0] for t in self.database[concept]]
+        return [t[0] for t in self.database.get(concept, EMPTY)]
 
     def attribute(self, concept: str, entity: Entity,
                   attribute: str) -> Optional[Any]:
@@ -170,7 +179,7 @@ class KnowledgeGraph:
         GNF needs no nulls: a missing attribute is a missing tuple.
         """
         spec = self.concepts[concept]
-        rel = self.database[spec.attribute_relation(attribute)]
+        rel = self.database.get(spec.attribute_relation(attribute), EMPTY)
         for tup in rel:
             if tup[0] == entity:
                 return tup[1]
@@ -178,7 +187,8 @@ class KnowledgeGraph:
 
     def neighbours(self, relationship: str, entity: Entity) -> List[Tuple]:
         """Tuples of a relationship mentioning the entity."""
-        return [t for t in self.database[relationship] if entity in t]
+        return [t for t in self.database.get(relationship, EMPTY)
+                if entity in t]
 
     def statistics(self) -> Dict[str, int]:
         """Fact counts per stored relation."""

@@ -47,7 +47,6 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from repro.db.transaction import Changes, fold
 from repro.engine.budget import EvalBudget
 from repro.engine.errors import (ConstraintViolation, QueryBudgetError,
                                  QueryTimeoutError)
@@ -367,11 +366,8 @@ class QueryServer:
         session = self.session
         with session._lock:
             try:
-                changed: Changes = {}
-                for op in group:
-                    fold(changed, op.kind, op.name, op.payload,
-                         session.database)
-                session._commit(changed)
+                session._write_rows((op.kind, op.name, op.payload)
+                                    for op in group)
             except BaseException as exc:
                 if isinstance(exc, ConstraintViolation) and len(group) > 1:
                     # Some op breaks a constraint: re-apply the run op by

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from repro import PreparedQuery, Relation, Session, connect
-from repro.db import Database
 
 
 @pytest.fixture
@@ -33,10 +32,35 @@ class TestConnect:
         assert s.execute("count[P]") == Relation([(2,)])
 
     def test_connect_with_database(self):
-        db = Database({"P": Relation([(1,)])})
+        """The mapping seeds the one base store: a change to the caller's
+        mapping does not reach it, and the session's own write of the
+        same row lands in the base the program evaluates."""
+        db = {"P": Relation([(1,)])}
         s = connect(db)
-        assert s.database is db
-        assert s.relation("P") == Relation([(1,)])
+        db["P"] = db["P"].union(Relation([(5,)]))
+        s.insert("P", [(5,)])
+        assert s.database["P"] == Relation([(1,), (5,)])
+        assert s.relation("P") == s.execute("P") == Relation([(1,), (5,)])
+        assert s.version == 1
+
+    def test_connect_refuses_a_mapping_with_a_path(self, tmp_path):
+        """A durable session starts from its directory: rows passed beside
+        ``path`` would be served but never logged, so the call is refused
+        before the storage is opened."""
+        path = tmp_path / "db"
+        with connect(path=path, load_stdlib=False) as s:
+            s.define("E", [(1, 2)])
+
+        def files():
+            return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+        before = files()
+        with pytest.raises(ValueError, match="bulk_load"):
+            connect({"E": [(9, 9)], "F": [(5,)]}, path=path,
+                    load_stdlib=False)
+        assert files() == before
+        with connect(path=path, load_stdlib=False) as s:
+            assert dict(s.database) == {"E": Relation([(1, 2)])}
 
     def test_connect_with_schema(self):
         s = connect({"P": Relation([(1,), (5,)])},

@@ -219,7 +219,7 @@ def _open(path):
 
 def _state(session):
     return (session.names(),
-            {name: session.database[name] for name in session.database.names()},
+            {name: session.database[name] for name in sorted(session.database)},
             session.relation("Path"))
 
 

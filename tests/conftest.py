@@ -11,7 +11,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro import RelProgram, Relation
-from repro.db import Database
 from repro.workloads import order_database
 
 
@@ -25,12 +24,6 @@ def fig1():
 def fig1_program(fig1):
     """A RelProgram over the Figure 1 database (stdlib loaded)."""
     return RelProgram(database=fig1)
-
-
-@pytest.fixture
-def fig1_database(fig1):
-    """A Database over Figure 1 for transaction tests."""
-    return Database(fig1)
 
 
 @pytest.fixture

@@ -2,31 +2,30 @@
 
 import pytest
 
-from repro import Relation
-from repro.db import Database, Transaction
-from repro.db.transaction import check_constraints, run_transaction
+from repro import Relation, connect
+from repro.db.transaction import check_constraints
 from repro.engine.program import RelProgram
 
 
 @pytest.fixture
-def db(fig1):
-    return Database(fig1)
+def session(fig1):
+    return connect(fig1)
 
 
 class TestOutput:
-    def test_output_is_returned_not_persisted(self, db):
-        result = Transaction(db).execute(
+    def test_output_is_returned_not_persisted(self, session):
+        result = session.transact(
             "def output(x) : exists((y) | ProductPrice(x, y) and y > 30)"
         )
         assert sorted(result.output.tuples) == [("P4",)]
-        assert "output" not in db
+        assert "output" not in session.database
 
-    def test_no_output_rule_gives_empty(self, db):
-        result = Transaction(db).execute("def Irrelevant(x) : ProductPrice(x, _)")
+    def test_no_output_rule_gives_empty(self, session):
+        result = session.transact("def Irrelevant(x) : ProductPrice(x, _)")
         assert not result.output
 
-    def test_output_uses_derived_relations(self, db):
-        result = Transaction(db).execute(
+    def test_output_uses_derived_relations(self, session):
+        result = session.transact(
             """
             def Expensive(p) : exists((v) | ProductPrice(p, v) and v > 15)
             def output(p) : Expensive(p)
@@ -36,40 +35,40 @@ class TestOutput:
 
 
 class TestInsertDelete:
-    def test_insert_creates_relation(self, db):
-        result = Transaction(db).execute(
+    def test_insert_creates_relation(self, session):
+        result = session.transact(
             'def insert(:Flagged, x) : ProductPrice(x, 40)'
         )
         assert result.committed
-        assert db["Flagged"] == Relation([("P4",)])
+        assert session.database["Flagged"] == Relation([("P4",)])
 
-    def test_delete_removes_tuples(self, db):
-        result = Transaction(db).execute(
+    def test_delete_removes_tuples(self, session):
+        result = session.transact(
             'def delete(:ProductPrice, x, y) : ProductPrice(x, y) and y > 30'
         )
         assert result.committed
-        assert sorted(db["ProductPrice"].tuples) == [
+        assert sorted(session.database["ProductPrice"].tuples) == [
             ("P1", 10), ("P2", 20), ("P3", 30)
         ]
 
-    def test_insert_and_delete_in_one_transaction(self, db):
-        Transaction(db).execute(
+    def test_insert_and_delete_in_one_transaction(self, session):
+        session.transact(
             """
             def delete(:ProductPrice, x, y) : ProductPrice(x, y) and y = 40
             def insert(:ProductPrice, x, y) : x = "P5" and y = 50
             """
         )
-        assert ("P5", 50) in db["ProductPrice"]
-        assert ("P4", 40) not in db["ProductPrice"]
+        assert ("P5", 50) in session.database["ProductPrice"]
+        assert ("P4", 40) not in session.database["ProductPrice"]
 
-    def test_malformed_insert_tuple_rejected(self, db):
+    def test_malformed_insert_tuple_rejected(self, session):
         from repro.engine.errors import EvaluationError
 
         with pytest.raises(EvaluationError, match=":RelationName"):
-            Transaction(db).execute('def insert(x) : ProductPrice(x, _)')
+            session.transact('def insert(x) : ProductPrice(x, _)')
 
-    def test_result_reports_changes(self, db):
-        result = Transaction(db).execute(
+    def test_result_reports_changes(self, session):
+        result = session.transact(
             'def insert(:Flagged, x) : ProductPrice(x, 40)'
         )
         assert "Flagged" in result.inserted
@@ -77,8 +76,8 @@ class TestInsertDelete:
 
 
 class TestConstraintAborts:
-    def test_violating_insert_aborts(self, db):
-        result = Transaction(db).execute(
+    def test_violating_insert_aborts(self, session):
+        result = session.transact(
             """
             ic integer_quantities() requires
                 forall((x) | OrderProductQuantity(_,_,x) implies Int(x))
@@ -88,10 +87,10 @@ class TestConstraintAborts:
         )
         assert not result.committed
         assert result.aborted_by == "integer_quantities"
-        assert ("O9", "P1", "lots") not in db["OrderProductQuantity"]
+        assert ("O9", "P1", "lots") not in session.database["OrderProductQuantity"]
 
-    def test_conforming_insert_commits(self, db):
-        result = Transaction(db).execute(
+    def test_conforming_insert_commits(self, session):
+        result = session.transact(
             """
             ic integer_quantities() requires
                 forall((x) | OrderProductQuantity(_,_,x) implies Int(x))
@@ -100,10 +99,10 @@ class TestConstraintAborts:
             """
         )
         assert result.committed
-        assert ("O9", "P1", 7) in db["OrderProductQuantity"]
+        assert ("O9", "P1", 7) in session.database["OrderProductQuantity"]
 
-    def test_foreign_key_constraint(self, db):
-        result = Transaction(db).execute(
+    def test_foreign_key_constraint(self, session):
+        result = session.transact(
             """
             ic valid_products(x) requires
                 OrderProductQuantity(_,x,_) implies ProductPrice(x,_)
@@ -114,9 +113,9 @@ class TestConstraintAborts:
         assert not result.committed
         assert sorted(result.violations["valid_products"].tuples) == [("P99",)]
 
-    def test_constraint_sees_post_state_of_deletes(self, db):
+    def test_constraint_sees_post_state_of_deletes(self, session):
         """Deleting the referenced product must abort via the FK."""
-        result = Transaction(db).execute(
+        result = session.transact(
             """
             ic valid_products(x) requires
                 OrderProductQuantity(_,x,_) implies ProductPrice(x,_)
@@ -124,17 +123,11 @@ class TestConstraintAborts:
             """
         )
         assert not result.committed
-        assert ("P1", 10) in db["ProductPrice"]
+        assert ("P1", 10) in session.database["ProductPrice"]
 
 
 class TestCheckConstraints:
     def test_parameterized_violations_collected(self):
-        db = Database({
-            "OrderProductQuantity": Relation(
-                [("O1", "P1", 2), ("O9", "P9", "three")]
-            ),
-            "ProductPrice": Relation([("P1", 10)]),
-        })
         program = RelProgram(
             """
             ic integer_quantities(x) requires
@@ -142,32 +135,35 @@ class TestCheckConstraints:
             ic valid_products(x) requires
                 OrderProductQuantity(_,x,_) implies ProductPrice(x,_)
             """,
-            database=db.as_mapping(),
+            database={
+                "OrderProductQuantity": Relation(
+                    [("O1", "P1", 2), ("O9", "P9", "three")]
+                ),
+                "ProductPrice": Relation([("P1", 10)]),
+            },
         )
-        violations = check_constraints(program, db)
+        violations = check_constraints(program)
         assert sorted(violations["integer_quantities"].tuples) == [("three",)]
         assert sorted(violations["valid_products"].tuples) == [("P9",)]
 
     def test_nullary_constraint_boolean(self):
-        db = Database({"Q": Relation([(1,)])})
         program = RelProgram(
             "ic has_q() requires exists((x) | Q(x))",
-            database=db.as_mapping(),
+            database={"Q": Relation([(1,)])},
         )
-        assert not check_constraints(program, db)["has_q"]  # satisfied
+        assert not check_constraints(program)["has_q"]  # satisfied
 
-        empty = Database({"Q": Relation()})
         program2 = RelProgram(
             "ic has_q() requires exists((x) | Q(x))",
-            database=empty.as_mapping(),
+            database={"Q": Relation()},
         )
-        assert check_constraints(program2, empty)["has_q"]  # violated
+        assert check_constraints(program2)["has_q"]  # violated
 
 
 class TestPaperClosedOrders:
-    def test_section_34_walkthrough(self, db):
+    def test_section_34_walkthrough(self, session):
         """The full insert/delete example of Section 3.4."""
-        result = run_transaction(db, """
+        result = session.transact("""
             def Ord(x) : OrderProductQuantity(x,_,_)
             def OrderPaymentAmount(x,y,z) :
                 PaymentOrder(y,x) and PaymentAmount(y,z)
@@ -184,6 +180,6 @@ class TestPaperClosedOrders:
         """)
         assert result.committed
         # O2 is the only fully paid order: total 10, paid 10.
-        assert db["ClosedOrders"] == Relation([("O2",)])
-        assert ("O2", "P1", 1) not in db["OrderProductQuantity"]
-        assert ("O1", "P1", 2) in db["OrderProductQuantity"]
+        assert session.database["ClosedOrders"] == Relation([("O2",)])
+        assert ("O2", "P1", 1) not in session.database["OrderProductQuantity"]
+        assert ("O1", "P1", 2) in session.database["OrderProductQuantity"]

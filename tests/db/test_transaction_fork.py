@@ -14,7 +14,6 @@ import sys
 import pytest
 
 from repro import RelProgram, Relation, connect
-from repro.db import Database
 from repro.db.transaction import check_constraints
 from repro.lang import parse_program
 from repro.model.relation import EMPTY
@@ -101,7 +100,7 @@ def _cold(base, source):
         post[name] = post.get(name, EMPTY).union(rows)
     checker = RelProgram(SESSION + source, database=post)
     failed = sorted(name for name, rel
-                    in check_constraints(checker, Database(post)).items()
+                    in check_constraints(checker).items()
                     if rel)
     aborted_by = failed[0] if failed else None
     return output, inserted, deleted, aborted_by, (base if failed else post)
@@ -129,19 +128,6 @@ def test_warm_transactions_match_cold_programs(seed):
             assert session.relation(name) == fresh.relation(name), \
                 (source, name)
     assert outcomes == {True, False}  # the scripts commit and abort
-
-
-def test_check_constraints_reads_the_database_it_is_given():
-    """Given a database other than the program's own, the constraints see
-    that database, on a fork: the program itself does not move."""
-    db = Database({"P": Relation([(1,)])})
-    program = RelProgram("ic small(x) requires P(x) implies x < 10",
-                         database=db.as_mapping(), load_stdlib=False)
-    later = db.copy()
-    later.insert("P", [(50,)])
-    assert check_constraints(program, later)["small"] == Relation([(50,)])
-    assert not check_constraints(program, db)["small"]
-    assert program.relation("P") == Relation([(1,)])
 
 
 @pytest.fixture

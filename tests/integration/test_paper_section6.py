@@ -65,9 +65,9 @@ class TestViewDefinitions:
                 exists((m) | Directed(x, m) and ActedIn(y, m))
             """
         )
-        keanu = movie_graph.database.entities.lookup("Person", "keanu")
-        carrie = movie_graph.database.entities.lookup("Person", "carrie")
-        lana = movie_graph.database.entities.lookup("Person", "lana")
+        keanu = movie_graph.entities.lookup("Person", "keanu")
+        carrie = movie_graph.entities.lookup("Person", "carrie")
+        lana = movie_graph.entities.lookup("Person", "lana")
         co = set(movie_graph.query("CoStar").tuples)
         assert (keanu, carrie) in co and (carrie, keanu) in co
         collab = set(movie_graph.query("Collaborated").tuples)
@@ -80,8 +80,8 @@ class TestViewDefinitions:
             def Filmography[p in Person] : count[ActedIn[p]] <++ 0
             """
         )
-        keanu = movie_graph.database.entities.lookup("Person", "keanu")
-        lana = movie_graph.database.entities.lookup("Person", "lana")
+        keanu = movie_graph.entities.lookup("Person", "keanu")
+        lana = movie_graph.entities.lookup("Person", "lana")
         films = dict(movie_graph.query("Filmography").tuples)
         assert films[keanu] == 2
         assert films[lana] == 0
@@ -98,7 +98,7 @@ class TestReasonerIntegration:
                 n = count[ActedIn[p]] and n >= 2)
             """
         )
-        keanu = movie_graph.database.entities.lookup("Person", "keanu")
+        keanu = movie_graph.entities.lookup("Person", "keanu")
         assert movie_graph.query("Prolific") == Relation([(keanu,)])
 
     def test_boolean_questions(self, movie_graph):

@@ -9,7 +9,7 @@ re-queries, pinning that engine state is unaffected.
 
 import pytest
 
-from repro import Relation, connect
+from repro import RelProgram, Relation, connect
 from repro.engine.table import Table
 
 
@@ -105,7 +105,7 @@ class TestSessionAccessorAliasing:
 
     def test_database_as_mapping_is_a_copy(self):
         session = self._session()
-        mapping = session.database.as_mapping()
+        mapping = dict(session.database)
         mapping.pop("E")
         assert "E" in session.database
 
@@ -167,11 +167,15 @@ class TestConnectIngestAliasing:
         assert session.relation("E") == Relation([(1, 2), (3, 4)])
 
     def test_database_install_coerces_iterables(self):
-        from repro.db.database import Database
-
-        rows = [(1, 2)]
-        db = Database()
-        db.install("E", rows)
+        """The program's constructor is the one ingest point of base data:
+        a caller's list becomes a Relation there, for a program and for a
+        session alike."""
+        rows = [(1, 2), (2, 3)]
+        program = RelProgram("def Out(x) : E(x, _)",
+                             database={"E": rows}, load_stdlib=False)
+        session = connect(database={"E": rows}, load_stdlib=False)
         rows.append((3, 4))
-        assert db["E"] == Relation([(1, 2)])
-        assert isinstance(db["E"], Relation)
+        for base in (program.durable_state(), session.database):
+            assert isinstance(base["E"], Relation)
+            assert base["E"] == Relation([(1, 2), (2, 3)])
+        assert program.relation("Out") == Relation([(1,), (2,)])

@@ -47,30 +47,43 @@ class TestData:
 
     def test_missing_attribute_is_absent_not_null(self, kg):
         """Carol has no age: no tuple, no null (Section 2)."""
-        carol = kg.database.entities.lookup("Person", "carol")
+        carol = kg.entities.lookup("Person", "carol")
         assert kg.attribute("Person", carol, "age") is None
         assert len(kg.database["PersonAge"]) == 2
 
     def test_relationship_type_checked(self, kg):
-        alice = kg.database.entities.lookup("Person", "alice")
+        alice = kg.entities.lookup("Person", "alice")
         with pytest.raises(ValueError, match="expected Company"):
             kg.relate("WorksFor", alice, alice)
 
     def test_relationship_arity_checked(self, kg):
-        alice = kg.database.entities.lookup("Person", "alice")
+        alice = kg.entities.lookup("Person", "alice")
         with pytest.raises(ValueError, match="relates 2"):
             kg.relate("Knows", alice)
 
     def test_valued_relationship(self, kg):
-        alice = kg.database.entities.lookup("Person", "alice")
+        alice = kg.entities.lookup("Person", "alice")
         rows = kg.neighbours("Salary", alice)
         assert len(rows) == 1 and rows[0][-1] == 100
 
     def test_set_attribute_replaces(self, kg):
-        alice = kg.database.entities.lookup("Person", "alice")
+        alice = kg.entities.lookup("Person", "alice")
         kg.set_attribute("Person", alice, "age", 32)
         assert kg.attribute("Person", alice, "age") == 32
         assert len([t for t in kg.database["PersonAge"] if t[0] == alice]) == 1
+
+    def test_writes_are_atomic(self, kg):
+        """Each method commits once, so a constraint tying a person to
+        their name holds at every step and every version shows both."""
+        kg.define("ic named(x) requires "
+                  "Person(x) implies exists((n) | PersonName(x, n))")
+        version = kg.session.version
+        dora = kg.add_entity("Person", "dora", name="Dora", age=28)
+        assert kg.session.version == version + 1
+        kg.set_attribute("Person", dora, "name", "Dorothy")
+        assert kg.session.version == version + 2
+        assert kg.attribute("Person", dora, "name") == "Dorothy"
+        assert kg.entities_of("Company") and not kg.entities_of("Nobody")
 
 
 class TestDerivedSemantics:
@@ -88,8 +101,8 @@ class TestDerivedSemantics:
             def Connected(x, z) : exists((y) | Connected(x, y) and Knows(y, z))
             """
         )
-        alice = kg.database.entities.lookup("Person", "alice")
-        carol = kg.database.entities.lookup("Person", "carol")
+        alice = kg.entities.lookup("Person", "alice")
+        carol = kg.entities.lookup("Person", "carol")
         assert (alice, carol) in kg.query("Connected")
 
     def test_derivations_compose(self, kg):
