@@ -830,9 +830,11 @@ class Session:
 
     def maintenance_statistics(self) -> Dict[str, int]:
         """Per-event maintenance counters ("maintained_strata",
-        "recomputed_strata", "overdeleted_tuples", "rederived_tuples",
-        …) — the explain hook for checking that an update
-        took the incremental path, mirroring :meth:`join_statistics`."""
+        "keyed_strata", "keyed_keys", "recomputed_strata",
+        "overdeleted_tuples", "rederived_tuples", …) — the explain hook
+        for checking that an update took the incremental path, mirroring
+        :meth:`join_statistics`. A keyed stratum was re-evaluated only on
+        the ``keyed_keys`` keys its write touched."""
         return self.program.maintenance_statistics()
 
     def statistics(self) -> Dict[str, Dict[str, int]]:

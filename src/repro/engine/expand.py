@@ -2740,7 +2740,8 @@ def eval_rule(rule: Rule, env: Env, ctx,
 def eval_rule_relation(rule: Rule, env: Env, ctx,
                        demand: Tuple[Tuple[int, Any], ...] = (),
                        full_arity: Optional[int] = None, *,
-                       seed: Optional[Relation] = None) -> Relation:
+                       seed: Optional[Relation] = None,
+                       seed_at: Optional[Tuple[int, ...]] = None) -> Relation:
     """Like :func:`eval_rule` but packaged as a :class:`Relation` directly.
 
     A columnar body result whose head is a straight tuple of value
@@ -2750,10 +2751,13 @@ def eval_rule_relation(rule: Rule, env: Env, ctx,
     the head tuples are emitted pre-keyed in the relation's key space, so
     the drivers still skip one full re-keying pass per rule evaluation.
 
-    ``seed`` binds the head variables to every seed row at once and keeps
-    the seed rows the rule derives; a head it cannot bind (a constant or
-    tuple-variable position, rows of another arity) raises SafetyError."""
-    got = _eval_rule_result(rule, env, ctx, demand, full_arity, seed)
+    ``seed`` binds head variables to every seed row at once: those at the
+    head positions ``seed_at``, giving every tuple the rule derives with
+    those values there, or by default all of them, keeping the seed rows
+    the rule derives. A head it cannot bind (a constant or tuple-variable
+    position, or one after a tuple variable; rows of another arity)
+    raises SafetyError."""
+    got = _eval_rule_result(rule, env, ctx, demand, full_arity, seed, seed_at)
     if got is None:
         return EMPTY
     rel = _emit_columnar(*got)
@@ -2763,7 +2767,7 @@ def eval_rule_relation(rule: Rule, env: Env, ctx,
             return EMPTY
         rel = Relation._from_keyed(keyed)
     rel = _charge_rows(rel)
-    return rel if seed is None else seed.intersect(rel)
+    return rel if seed is None or seed_at is not None else seed.intersect(rel)
 
 
 def _charge_rows(rel: Relation) -> Relation:
@@ -2788,7 +2792,8 @@ def _charge_rows(rel: Relation) -> Relation:
 def _eval_rule_result(rule: Rule, env: Env, ctx,
                       demand: Tuple[Tuple[int, Any], ...] = (),
                       full_arity: Optional[int] = None,
-                      seed: Optional[Relation] = None):
+                      seed: Optional[Relation] = None,
+                      seed_at: Optional[Tuple[int, ...]] = None):
     """Schedule one rule body and return ``(result table, positional head
     bindings, post filters, frame)``, or None when the demand pattern is
     unsatisfiable. Head emission is the caller's choice:
@@ -2797,7 +2802,7 @@ def _eval_rule_result(rule: Rule, env: Env, ctx,
     locals_, guards, positional = _rule_skeleton(rule, ctx)
     frame = Frame(env, frozenset(locals_))
     if seed is not None:
-        table, post = _seed_table(rule, positional, seed), ()
+        table, post = _seed_table(rule, positional, seed, seed_at), ()
     else:
         pre, post = align_demand(positional, demand, full_arity)
         if pre is None:
@@ -2817,13 +2822,19 @@ def _eval_rule_result(rule: Rule, env: Env, ctx,
     return result, positional, post, frame
 
 
-def _seed_table(rule: Rule, positional, seed: Relation) -> Table:
-    """One row per seed row, one column per head variable (a repeated
-    variable is already aliased apart, its guard re-checking equality)."""
-    if seed.arities() != {len(positional)} or not all(
-            isinstance(b, ast.VarBinding) for b in positional):
+def _seed_table(rule: Rule, positional, seed: Relation,
+                at: Optional[Tuple[int, ...]]) -> Table:
+    """One row per seed row, one column per seeded head variable (a
+    repeated variable is already aliased apart, its guard re-checking
+    equality). A position ``p`` is the tuple's column ``p`` only while no
+    tuple variable comes before it."""
+    at = range(len(positional)) if at is None else at
+    if seed.arities() != {len(at)} or not all(
+            p < len(positional) and isinstance(positional[p], ast.VarBinding)
+            and not any(isinstance(b, ast.TupleVarBinding)
+                        for b in positional[:p]) for p in at):
         raise SafetyError(f"rule {rule.name}: head cannot be seeded")
-    cols = tuple(b.name for b in positional)
+    cols = tuple(positional[p].name for p in at)
     if cols and _columns.available() and seed.columns() is not None:
         return Table.from_columns(cols, (), seed.columns(), ())
     return Table(cols, [row + ((),) for row in seed.rows()], distinct=True)

@@ -311,6 +311,26 @@ class EvalState:
         for key in dead:
             self.memo.pop(key, None)
 
+    def carry_indexes(self, old: Relation, new: Relation, plus: Relation,
+                      minus: Relation) -> None:
+        """Give ``new``, which is ``old`` with ``minus`` removed and ``plus``
+        added, the prefix indexes ``old`` has here, patched by that delta:
+        one copy of the key table and of the touched buckets, where a probe
+        of ``new`` would rebuild the whole index."""
+        for (_, n), (pin, index) in list(self._indexes.items()):
+            if pin is not old or (id(new), n) in self._indexes:
+                continue
+            index = dict(index)
+            for t in minus.rows():
+                gone = model_row_key(t)
+                index[t[:n]] = [u for u in index.get(t[:n], ())
+                                if model_row_key(u) != gone]
+            for t in plus.rows():
+                if len(t) >= n:
+                    index[t[:n]] = index.get(t[:n], []) + [t]
+            bounded_store(self._indexes, (id(new), n), (new, index),
+                          self.INDEX_LIMIT)
+
     def drop_indexes_for(self, rels: Iterable[Relation]) -> None:
         """Drop atom-index and sorted-trie entries pinned to exactly the
         given relation objects (the replaced extents of an update). The
@@ -744,6 +764,12 @@ def _delta_variants_with_targets(
     return variants
 
 
+def _delta_variants_of(rule: Rule,
+                       watch: FrozenSet[str]) -> List[Tuple[str, Rule]]:
+    return [(target, dataclasses.replace(rule, body=body))
+            for target, body in _delta_variants_with_targets(rule, set(watch))]
+
+
 def _shadows_any(node: ast.Node, names: Set[str]) -> bool:
     """Does any abstraction/quantifier binder rebind one of ``names``?
     Delta rewriting is purely name-based, so a shadowed occurrence would be
@@ -755,6 +781,61 @@ def _shadows_any(node: ast.Node, names: Set[str]) -> bool:
                 if getattr(binding, "name", None) in names:
                     return True
     return False
+
+
+def _key_analysis(rule: Rule, changed: FrozenSet[str]):
+    """``(i, {(name, column)})`` when every occurrence of a ``changed``
+    name (body or head domain) is an application whose argument at
+    ``column`` is the head variable at head position ``i``, the same ``i``
+    for all, with only one-column arguments before it and no binder
+    rebinding it; ``(None, set())`` when the rule reads no changed name;
+    None when it cannot be keyed."""
+    heads: Dict[str, int] = {}
+    reads: List[ast.Node] = [rule.body]
+    varargs = False  # past a tuple variable, position p is not column p
+    for p, b in enumerate(rule.value_head):
+        if isinstance(b, (ast.TupleVarBinding, ast.TupleWildcardBinding)):
+            varargs = True
+        elif isinstance(b, (ast.VarBinding, ast.InBinding)) and not varargs:
+            heads.setdefault(b.name, p)
+        if isinstance(b, ast.InBinding):
+            reads.append(ast.Application(b.domain, (ast.Ref(b.name),), False))
+        elif isinstance(b, ast.ConstBinding):
+            reads.append(b.expr)
+    found: Set[Tuple[str, int, str]] = set()
+
+    def keyed(node: ast.Node, scope: FrozenSet[str]) -> bool:
+        # ``scope``: the binder variables in force, one-column arguments.
+        if isinstance(node, ast.Ref):
+            return node.name not in changed
+        if isinstance(node, (ast.Exists, ast.ForAll, ast.Abstraction)):
+            inner = scope | {b.name for b in node.bindings
+                             if isinstance(b, (ast.VarBinding, ast.InBinding))}
+            return all(keyed(b, scope) for b in node.bindings) and \
+                keyed(node.body, inner)
+        if isinstance(node, ast.Application) and \
+                isinstance(node.target, ast.Ref) and node.target.name in changed:
+            for col, arg in enumerate(node.args):
+                if isinstance(arg, ast.Ref) and arg.name in heads and \
+                        arg.name not in scope:
+                    found.add((node.target.name, col, arg.name))
+                    return all(keyed(a, scope) for a in node.args)
+                if not (isinstance(arg, (ast.Const, ast.Wildcard)) or
+                        isinstance(arg, ast.Ref) and arg.name in scope):
+                    return False
+            return False
+        return all(keyed(child, scope) for child in node.children())
+
+    if rule.rel_positions or _shadows_any(rule.body, changed) or \
+            changed & {getattr(b, "name", None) for b in rule.head} or \
+            not all(keyed(node, frozenset()) for node in reads):
+        return None
+    keys = {h for _, _, h in found}
+    positions = {heads[h] for h in keys}
+    if len(positions) > 1 or _shadows_any(rule.body, keys):
+        return None
+    return (positions.pop() if positions else None,
+            {(name, col) for name, col, _ in found})
 
 
 # ---------------------------------------------------------------------------
@@ -804,13 +885,13 @@ class RelProgram:
         self._rule_refs: Dict[Tuple[int, ...],
                               Tuple[Tuple[Rule, ...], Tuple[str, ...]]] = {}
         self._all_refs: Optional[FrozenSet[str]] = None
-        # (id(rule), watch set) -> (pinned rule, [(target, variant rule)]):
-        # delta rewrites are pure functions of the rule body, so the
-        # rewritten Rule objects are built once and stay identity-stable —
-        # which is what lets compiled plans for delta bodies survive across
-        # fixpoints and maintenance passes.
-        self._variant_cache: Dict[Tuple[int, FrozenSet[str]],
-                                  Tuple[Rule, List[Tuple[str, Rule]]]] = {}
+        # (id(rule), watch set, analysis) -> (pinned rule, result): delta
+        # rewrites and key analyses are pure functions of the rule body, so
+        # each is built once, and the rewritten Rule objects stay
+        # identity-stable — which is what lets compiled plans for delta
+        # bodies survive across fixpoints and maintenance passes.
+        self._variant_cache: Dict[Tuple[int, FrozenSet[str], Any],
+                                  Tuple[Rule, Any]] = {}
         if load_stdlib:
             from repro.stdlib import standard_library_source
 
@@ -980,17 +1061,18 @@ class RelProgram:
 
         The variant Rule objects are identity-stable across calls, so the
         plan cache and the orderability caches key on them reliably."""
-        key = (id(rule), watch)
+        return self._rule_analysis(rule, watch, _delta_variants_of)
+
+    def _rule_analysis(self, rule: Rule, watch: FrozenSet[str], analyse):
+        """``analyse(rule, watch)``, cached per rule and watch set."""
+        key = (id(rule), watch, analyse)
         cached = self._variant_cache.get(key)
         if cached is not None and cached[0] is rule:
             return cached[1]
-        entries = [
-            (target, dataclasses.replace(rule, body=body))
-            for target, body in _delta_variants_with_targets(rule, set(watch))
-        ]
-        bounded_store(self._variant_cache, key, (rule, entries),
+        result = analyse(rule, watch)
+        bounded_store(self._variant_cache, key, (rule, result),
                       self.VARIANT_LIMIT)
-        return entries
+        return result
 
     def _all_rule_refs(self) -> FrozenSet[str]:
         """The union of every rule body's free names (cached): the set of
@@ -1354,15 +1436,20 @@ class RelProgram:
     #   through a deleted tuple (the same delta rounds, against the
     #   pre-update state), then re-derive the candidates that still have
     #   support in a separate loop of candidate-seeded rule evaluations;
-    # - strata whose rules use a changed name in a restricted context
-    #   (negation, aggregation, comparisons, overrides) are recomputed from
-    #   scratch and diffed, so their *net* delta keeps propagating
-    #   incrementally downstream.
+    # - a non-recursive stratum whose rules use a changed name in a
+    #   restricted context (negation, aggregation, comparisons, overrides)
+    #   keyed on one head variable is re-evaluated on the keys the delta
+    #   touches only (:meth:`_maintain_keyed`, counted as "keyed_strata"
+    #   and "keyed_keys");
+    # - other strata with a restricted occurrence are recomputed from
+    #   scratch and diffed ("recomputed_strata"). Either way their *net*
+    #   delta keeps propagating incrementally downstream.
 
     def maintenance_statistics(self) -> Dict[str, int]:
         """Per-event maintenance counters ("maintained_strata",
-        "recomputed_strata", "overdeleted_tuples", …) — the explain hook
-        mirroring :meth:`join_statistics`."""
+        "keyed_strata", "keyed_keys", "recomputed_strata",
+        "overdeleted_tuples", …) — the explain hook mirroring
+        :meth:`join_statistics`."""
         if self._state is None:
             return {}
         return dict(self._state.counters["maintenance"])
@@ -1433,10 +1520,19 @@ class RelProgram:
         for name in deltas:
             state.bump_name(name)
         state.prune_memo(set(deltas))
-        state.drop_indexes_for(list(pre.values()))
-        pre = dict(pre)  # maintained strata register their pre-states too
+        try:
+            # The base's previous values keep their indexes while the
+            # strata are walked, so keyed re-evaluation can carry them.
+            return self._maintain_strata(deltas, dict(pre), ctx)
+        finally:
+            state.drop_indexes_for(list(pre.values()))
+
+    def _maintain_strata(self, deltas: Changes, pre: Dict[str, Relation],
+                         ctx: EvalContext) -> bool:
+        """The walk over the affected strata, in topological order."""
+        state = ctx.state
         if not state.extents:
-            # Nothing materialized yet: generation bumps above are all the
+            # Nothing materialized yet: the generation bumps are all the
             # invalidation needed.
             return True
         if self._strata is None:
@@ -1483,12 +1579,15 @@ class RelProgram:
                 state.count("maintenance", "dropped_strata")
                 continue
             trigger = {n: changed[n] for n in comp_refs if n in changed}
-            if not (comp_refs & opaque) and \
-                    self._maintenance_eligible(component, set(trigger)):
-                net = self._maintain_component_delta(
-                    component, materializable, trigger, pre, ctx)
-                state.count("maintenance", "maintained_strata")
-            else:
+            net = None
+            if not (comp_refs & opaque):
+                if self._maintenance_eligible(component, set(trigger)):
+                    net = self._maintain_component_delta(
+                        component, materializable, trigger, pre, ctx)
+                    state.count("maintenance", "maintained_strata")
+                else:
+                    net = self._maintain_keyed(component, trigger, pre, ctx)
+            if net is None:
                 net = self._recompute_component_diff(
                     component, materializable, pre, ctx)
                 state.count("maintenance", "recomputed_strata")
@@ -1501,11 +1600,14 @@ class RelProgram:
 
     def _maintenance_eligible(self, component: List[str],
                               changed: Set[str]) -> bool:
-        """Can the stratum be maintained by delta rules? Every occurrence of
-        a changed name (and, for recursive strata, of the member names) must
-        be positive and unrestricted — negation, aggregation, comparisons,
-        and overrides force the recompute-and-diff fallback — and no binder
-        may shadow a watched name."""
+        """Can the stratum be maintained by delta rules
+        ("maintained_strata")? Every occurrence of a changed name (and, for
+        recursive strata, of the member names) must be positive and
+        unrestricted, and no binder may shadow a watched name. A stratum
+        declined here for negation, aggregation, a comparison or an
+        override goes to keyed re-evaluation ("keyed_strata",
+        :meth:`_maintain_keyed`) and, failing that, to the
+        recompute-and-diff fallback ("recomputed_strata")."""
         recursive = self._is_recursive_component(component)
         watch = set(changed)
         if recursive:
@@ -1595,6 +1697,66 @@ class RelProgram:
                 # trie/index cache entries stay warm.
                 state.extents[m] = old
         return net
+
+    def _maintain_keyed(
+        self,
+        component: List[str],
+        trigger: Dict[str, Tuple[Relation, Relation]],
+        pre: Dict[str, Relation],
+        ctx: EvalContext,
+    ) -> Optional[Dict[str, Tuple[Relation, Relation]]]:
+        """Keyed re-evaluation of a non-recursive stratum the delta rules
+        decline: when every rule keys its changed-name occurrences on one
+        head position (:func:`_key_analysis`), only the keys the trigger
+        deltas hold there can change. Each rule is evaluated once seeded on
+        them, and the member's rows with those keys are replaced by the
+        result. Returns the net delta as :meth:`_maintain_component_delta`
+        does, or None to decline to the recompute."""
+        member = component[0]
+        rules = self._rules[member]
+        if self._is_recursive_component(component) or member in self._base:
+            return None
+        analyses = [self._rule_analysis(rule, frozenset(trigger),
+                                        _key_analysis) for rule in rules]
+        positions = {a[0] for a in analyses if a is not None} - {None}
+        if None in analyses or len(positions) != 1:
+            return None
+        (position,) = positions
+        keys = EMPTY
+        for name, col in set().union(*(a[1] for a in analyses)):
+            for delta in trigger[name]:
+                keys = keys.union(delta.project((col,)))
+        state = ctx.state
+        for name, (plus, minus) in trigger.items():
+            if name in self._base and name not in state.extents:
+                state.carry_indexes(pre[name], self._base[name], plus, minus)
+        derived = EMPTY
+        try:
+            for rule in rules if keys else ():
+                derived = derived.union(eval_rule_relation(
+                    rule, Env.EMPTY, ctx, seed=keys, seed_at=(position,)))
+        except (SafetyError, NotOrderable):
+            return None
+        state.count("maintenance", "keyed_strata")
+        state.count("maintenance", "keyed_keys", len(keys))
+        if not keys:
+            return {}
+        state.count("eval", member)
+        old = state.extents[member]
+        if all(r.formula_head and len(r.value_head) == 1 for r in rules):
+            hit = old.intersect(keys)  # the rows are the keys themselves
+        else:
+            wanted = {value_key(t[0]) for t in keys.rows()}
+            hit = old.select(lambda t: len(t) > position
+                             and value_key(t[position]) in wanted)
+        plus, minus = derived.difference(hit), hit.difference(derived)
+        if not (plus or minus):
+            return {}
+        state.extents[member] = apply_delta(old, plus, minus)
+        pre[member] = old
+        state.bump_name(member)
+        state.drop_indexes_for([old])
+        return {member: (plus, minus)}
 
     def _overdelete_and_rederive(
         self,

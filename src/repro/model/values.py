@@ -80,6 +80,15 @@ class EntityRegistry:
         raises ``ValueError`` — this is exactly the GNF violation where a
         product and an order share an identifier.
         """
+        entity = self.check(namespace, key)
+        self._by_key.setdefault(key, namespace)
+        self._entities.setdefault((namespace, key), entity)
+        return entity
+
+    def check(self, namespace: str, key: Any) -> Entity:
+        """The entity :meth:`mint` would return, raising as it would, but
+        without claiming ``key``: a caller whose write may still be
+        refused mints only once it is stored."""
         existing = self._entities.get((namespace, key))
         if existing is not None:
             return existing
@@ -89,10 +98,7 @@ class EntityRegistry:
                 f"identifies a {self._by_key[key]!r}, cannot reuse it for "
                 f"a {namespace!r}"
             )
-        entity = Entity(namespace, key)
-        self._by_key.setdefault(key, namespace)
-        self._entities[(namespace, key)] = entity
-        return entity
+        return Entity(namespace, key)
 
     def lookup(self, namespace: str, key: Any) -> Entity | None:
         """Return the entity for ``key`` in ``namespace`` if minted."""

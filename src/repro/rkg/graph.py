@@ -101,14 +101,15 @@ class KnowledgeGraph:
         unknown = set(attributes) - set(spec.attributes)
         if unknown:
             raise ValueError(f"unknown attributes {sorted(unknown)}")
-        entity = self.entities.mint(concept, key)
-        # One write: an ``ic`` may tie membership to an attribute.
+        entity = self.entities.check(concept, key)
+        # One write: an ``ic`` may tie membership to an attribute. The key
+        # is claimed only once the write is stored.
         self.session._write_rows(
             [("insert", concept, Relation([(entity,)]))] + [
                 ("insert", spec.attribute_relation(attr),
                  Relation([(entity, value)]))
                 for attr, value in attributes.items()])
-        return entity
+        return self.entities.mint(concept, key)
 
     def set_attribute(self, concept: str, entity: Entity, attribute: str,
                       value: Any) -> None:

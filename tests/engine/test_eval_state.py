@@ -106,11 +106,12 @@ PINNED = {
                               "Wide": 1},
         "maintenance_statistics": {"dropped_strata": 1,
                                    "full_invalidations": 1,
+                                   "keyed_keys": 1,
+                                   "keyed_strata": 1,
                                    "maintained_strata": 7,
                                    "overdeleted_tuples": 259,
-                                   "recomputed_strata": 1,
                                    "rederived_tuples": 34},
-        "plan_statistics": {"compiled": 47, "hits": 253, "invalidated": 14},
+        "plan_statistics": {"compiled": 49, "hits": 251, "invalidated": 16},
     },
     "snapshot": {
         "evaluation_counts": {"Late": 1, "Late2": 1, "TC": 37,

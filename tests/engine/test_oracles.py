@@ -49,6 +49,7 @@ PATCH_POINTS = {
                planner, "choose_strategy"),
     "no_multiway": (oracles.no_multiway, expand, "_schedule_multiway"),
     "recompute": (oracles.recompute, RelProgram, "_try_maintain"),
+    "unkeyed": (oracles.unkeyed, RelProgram, "_maintain_keyed"),
     "always_delta": (oracles.always_delta, program_mod,
                      "_delta_replaces_most"),
     "interpreted": (oracles.interpreted, expand, "_plan_state"),

@@ -85,6 +85,26 @@ class TestData:
         assert kg.attribute("Person", dora, "name") == "Dorothy"
         assert kg.entities_of("Company") and not kg.entities_of("Nobody")
 
+    def test_refused_write_claims_no_key(self):
+        """A write a constraint refuses stores nothing, and so mints
+        nothing: its key stays free for another concept."""
+        from repro import ConstraintViolation
+
+        kg = KnowledgeGraph()
+        kg.concept("Person", ["name"])
+        kg.concept("Company", ["name"])
+        kg.define("ic named(x) requires "
+                  "Person(x) implies exists((n) | PersonName(x, n))")
+        with pytest.raises(ConstraintViolation):
+            kg.add_entity("Person", "alice")
+        assert kg.entities_of("Person") == []
+        assert kg.entities.lookup("Person", "alice") is None
+        acme = kg.add_entity("Company", "alice", name="A")
+        assert kg.entities_of("Company") == [acme]
+        assert kg.entities.lookup("Company", "alice") == acme
+        with pytest.raises(ValueError, match="already identifies"):
+            kg.add_entity("Person", "alice", name="Alice")
+
 
 class TestDerivedSemantics:
     def test_derived_relationship(self, kg):

@@ -12,6 +12,8 @@ iteration:
   scheduler only (``repro.engine.expand._schedule_multiway``);
 - :func:`recompute` — drop-and-recompute instead of incremental
   maintenance (``RelProgram._try_maintain``);
+- :func:`unkeyed` — recompute-and-diff instead of keyed re-evaluation
+  for a stratum the delta rules decline (``RelProgram._maintain_keyed``);
 - :func:`always_delta` — delta maintenance even when an update replaces
   most of a relation (``repro.engine.program._delta_replaces_most``);
 - :func:`interpreted` — no plan cache: every evaluation interpreted from
@@ -71,6 +73,13 @@ def recompute():
     extents and the next read recomputes them."""
     return _patched(program_mod.RelProgram, "_try_maintain",
                     lambda self, deltas, pre: False)
+
+
+def unkeyed():
+    """Decline keyed re-evaluation: a stratum the delta rules decline is
+    recomputed from scratch and diffed."""
+    return _patched(program_mod.RelProgram, "_maintain_keyed",
+                    lambda self, component, trigger, pre, ctx: None)
 
 
 def always_delta():
